@@ -4,7 +4,7 @@
 // artifacts.
 //
 // Every RS codec case is reported for BOTH implementations side by side:
-//   *_legacy    -- the Poly-based reference path (encode_legacy/decode_legacy)
+//   *_legacy    -- the Poly-based reference codec (test oracle, rsmem_oracles)
 //   *_workspace -- the allocation-free DecoderWorkspace fast path
 // and the batch-plane cases additionally A/B the SIMD kernel layer:
 //   *_scalar    -- gf::simd forced to the scalar control (original loops)
@@ -41,7 +41,8 @@
 #include "models/ber.h"
 #include "models/duplex_model.h"
 #include "models/simplex_model.h"
-#include "rs/berlekamp.h"
+#include "oracles/berlekamp.h"
+#include "oracles/reference_codec.h"
 #include "rs/reed_solomon.h"
 #include "sim/rng.h"
 
@@ -78,13 +79,11 @@ void BM_Encode(benchmark::State& state, const rs::ReedSolomon& code,
                Path path) {
   const auto data = random_data(code, 1);
   std::vector<gf::Element> cw(code.n());
-  rs::DecoderWorkspace ws;
-  ws.reserve(code);
   for (auto _ : state) {
     if (path == Path::kWorkspace) {
-      code.encode(ws, data, cw);
+      code.encode(data, cw);
     } else {
-      code.encode_legacy(data, cw);
+      oracles::encode_legacy(code, data, cw);
     }
     benchmark::DoNotOptimize(cw.data());
   }
@@ -96,8 +95,9 @@ rs::DecodeOutcome run_decode(const rs::ReedSolomon& code,
                              rs::DecoderWorkspace& ws, Path path,
                              std::vector<gf::Element>& word,
                              std::span<const unsigned> erasures = {}) {
-  return path == Path::kWorkspace ? code.decode(ws, word, erasures)
-                                  : code.decode_legacy(word, erasures);
+  return path == Path::kWorkspace
+             ? code.decode(ws, word, erasures)
+             : oracles::decode_legacy(code, word, erasures);
 }
 
 void BM_DecodeClean(benchmark::State& state, const rs::ReedSolomon& code,
@@ -251,7 +251,7 @@ void BM_DecodePlane(benchmark::State& state, const rs::ReedSolomon& code,
 
 void BM_BerlekampDecodeOneError(benchmark::State& state,
                                 const rs::ReedSolomon& code) {
-  const rs::BerlekampDecoder decoder{code};
+  const oracles::BerlekampDecoder decoder{code};
   const auto cw = code.encode(random_data(code, 5));
   std::vector<gf::Element> word;
   unsigned pos = 0;
@@ -358,7 +358,7 @@ namespace {
 // Times encode_batch over a large RS(36,16) plane, forced-scalar vs the
 // dispatcher's backend, best-of-N wall clock. On hosts where a PSHUFB
 // backend (ssse3/avx2) is selected the >= 2x contract is enforced; with
-// only swar/scalar available the ratio is recorded but not gated.
+// only scalar available the ratio is recorded but not gated.
 int run_plane_selfcheck() {
   using clock = std::chrono::steady_clock;
   const rs::ReedSolomon& code = code3616();

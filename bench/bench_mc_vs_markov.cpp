@@ -5,7 +5,7 @@
 // For each scenario the Monte-Carlo estimate and its 95% Wilson interval
 // are printed against the chain prediction(s).
 //
-// The campaign-throughput sections (threads, codec path, batched planes)
+// The campaign-throughput sections (threads, batched planes)
 // can additionally be recorded into the BENCH_codec.json snapshot:
 // `--campaign-json <path>` parses the google-benchmark JSON at <path> and
 // inserts a top-level `mc_campaign` object whose context names the rsmem
@@ -42,8 +42,6 @@ struct Scenario {
 struct CampaignJson {
   double single_trials_per_second = 0.0;
   double parallel_trials_per_second = 0.0;
-  double legacy_trials_per_second = 0.0;
-  double workspace_trials_per_second = 0.0;
   double per_word_trials_per_second = 0.0;
   double batched_trials_per_second = 0.0;
 };
@@ -78,13 +76,6 @@ int merge_campaign_json(const char* path, const CampaignJson& numbers) {
        service::JsonObject{
            {"single_trials_per_second", numbers.single_trials_per_second},
            {"parallel_trials_per_second", numbers.parallel_trials_per_second},
-       }},
-      {"codec_path",
-       service::JsonObject{
-           {"gf_backend", gf::simd::active().name},
-           {"legacy_trials_per_second", numbers.legacy_trials_per_second},
-           {"workspace_trials_per_second",
-            numbers.workspace_trials_per_second},
        }},
       {"batched_campaign",
        service::JsonObject{
@@ -233,73 +224,6 @@ int main(int argc, char** argv) {
         "note: %u hardware thread(s) available; >= 3x speedup check needs 4+\n",
         hw);
   }
-
-  // ---- Codec fast path: legacy per-trial codec vs shared codec + workspace
-  // (single-threaded, so only the codec path differs). Measured on a
-  // SCRUBBED RS(36,16) campaign -- each scrub pass is a read + decode +
-  // rewrite, and the SEU rate is tuned to ~1 flip per 30-minute scrub
-  // interval, so the ~96 decodes per 48 h trial mostly run the full
-  // locator/Chien/Forney pipeline (t = 10 keeps them correctable). That is
-  // the decoder-bound regime the paper's scrubbing analysis exercises.
-  core::MemorySystemSpec codec_spec = spec;
-  codec_spec.code = rs::CodeParams{36, 16, 8, 1};
-  codec_spec.seu_rate_per_bit_day = 0.167;  // ~1 SEU per scrub interval
-  codec_spec.scrub_period_seconds = 1800.0;
-  analysis::MonteCarloConfig codec_mc = mc;
-  codec_mc.trials = 4000;
-  codec_mc.threads = 1;
-
-  // Best-of-3 paired reps, same estimator as the batched pair below: each
-  // rep's arms run back-to-back so shared-host noise cancels within a
-  // rep's ratio, and the best rep estimates the uncontended speedup.
-  constexpr int kCodecReps = 3;
-  analysis::MonteCarloResult legacy;
-  analysis::MonteCarloResult fast;
-  double legacy_best = 0.0;
-  double fast_best = 0.0;
-  double codec_speedup = 0.0;
-  for (int rep = 0; rep < kCodecReps; ++rep) {
-    analysis::CampaignReport legacy_report;
-    codec_mc.legacy_codec = true;
-    legacy = simulate(codec_spec, codec_mc, memory::ScrubPolicy::kExponential,
-                      &legacy_report);
-    legacy_best = std::max(legacy_best, legacy_report.trials_per_second);
-
-    analysis::CampaignReport fast_report;
-    codec_mc.legacy_codec = false;
-    fast = simulate(codec_spec, codec_mc, memory::ScrubPolicy::kExponential,
-                    &fast_report);
-    fast_best = std::max(fast_best, fast_report.trials_per_second);
-
-    if (legacy_report.trials_per_second > 0.0) {
-      codec_speedup = std::max(codec_speedup,
-                               fast_report.trials_per_second /
-                                   legacy_report.trials_per_second);
-    }
-  }
-
-  numbers.legacy_trials_per_second = legacy_best;
-  numbers.workspace_trials_per_second = fast_best;
-  std::printf("codec-path section gf backend: %s\n", gf::simd::active().name);
-  analysis::Table codec{{"codec path (best of 3)", "trials/s", "speedup"}};
-  codec.add_row({"legacy (per-trial codec)", analysis::format_sci(legacy_best),
-                 "1.00"});
-  codec.add_row({"workspace fast path", analysis::format_sci(fast_best),
-                 analysis::format_fixed(codec_speedup, 2)});
-  std::printf("%s", codec.to_text().c_str());
-
-  checks.expect(
-      legacy.failure.failures == fast.failure.failures &&
-          legacy.failure.trials == fast.failure.trials &&
-          legacy.mean_seu_per_trial == fast.mean_seu_per_trial &&
-          legacy.mean_permanent_per_trial == fast.mean_permanent_per_trial &&
-          legacy.scrub_failures == fast.scrub_failures &&
-          legacy.scrub_miscorrections == fast.scrub_miscorrections &&
-          legacy.no_output_failures == fast.no_output_failures &&
-          legacy.wrong_data_failures == fast.wrong_data_failures,
-      "campaign result bit-identical across codec paths");
-  checks.expect(codec_speedup >= 1.5,
-                "workspace codec >= 1.5x end-to-end trials/s");
 
   // ---- Batched trial planes: per-word control vs gather/decode/scatter.
   // Decode-dominated regime: unscrubbed RS(255,223) at a LOW fault rate, so

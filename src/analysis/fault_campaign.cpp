@@ -98,7 +98,7 @@ bool find_pattern(const rs::ReedSolomon& code,
       pattern.diffs.push_back(random_diff(params, rng));
     }
     std::vector<Element> word = apply_pattern(codeword, pattern);
-    const rs::DecodeOutcome outcome = code.decode_legacy(word, {});
+    const rs::DecodeOutcome outcome = code.decode(word, {});
     if (want_miscorrection) {
       if (outcome.status == rs::DecodeStatus::kCorrected && word != codeword) {
         out = std::move(pattern);
@@ -235,7 +235,7 @@ void run_stuck_bank_growth(const FaultCampaignConfig& config,
   sim::Rng data_rng = rng.split(1);
   const std::vector<Element> data = make_data(config.code, data_rng);
   std::vector<Element> codeword(config.code.n, 0);
-  code.encode_legacy(data, codeword);
+  code.encode(data, codeword);
   sys.store(data);
 
   // Grow DETECTED stuck-at faults symbol by symbol over the scripted bank,
@@ -322,7 +322,7 @@ void run_miscorrection_trap(const FaultCampaignConfig& config,
   sim::Rng data_rng = rng.split(1);
   const std::vector<Element> data = make_data(config.code, data_rng);
   std::vector<Element> codeword(config.code.n, 0);
-  code.encode_legacy(data, codeword);
+  code.encode(data, codeword);
   const unsigned beyond = (config.code.n - config.code.k) / 2 + 1;
   ErrorPattern pattern;
   sim::Rng search_rng = rng.split(2);
@@ -398,7 +398,7 @@ void run_arbiter_disagreement(const FaultCampaignConfig& config,
   sim::Rng data_rng = rng.split(1);
   const std::vector<Element> data = make_data(config.code, data_rng);
   std::vector<Element> codeword(config.code.n, 0);
-  code.encode_legacy(data, codeword);
+  code.encode(data, codeword);
   const unsigned beyond = (config.code.n - config.code.k) / 2 + 1;
 
   // Two patterns mis-correcting to DIFFERENT wrong codewords, one per
@@ -471,7 +471,7 @@ void run_dead_module_demotion(const FaultCampaignConfig& config,
   sim::Rng data_rng = rng.split(1);
   const std::vector<Element> data = make_data(config.code, data_rng);
   std::vector<Element> codeword(n, 0);
-  code.encode_legacy(data, codeword);
+  code.encode(data, codeword);
 
   // Module 1 (the survivor) carries `parity` DETECTED stuck symbols at
   // positions P -- alone it decodes fine as erasures. Module 0 carries
@@ -491,14 +491,14 @@ void run_dead_module_demotion(const FaultCampaignConfig& config,
     for (Element& d : diffs) d = random_diff(config.code, search_rng);
     std::vector<Element> sub = codeword;
     for (unsigned i = 0; i < parity; ++i) sub[positions[i]] ^= diffs[i];
-    if (code.decode_legacy(sub, {}).status != rs::DecodeStatus::kFailure) {
+    if (code.decode(sub, {}).status != rs::DecodeStatus::kFailure) {
       continue;
     }
     std::vector<Element> full = codeword;
     for (std::size_t i = 0; i < positions.size(); ++i) {
       full[positions[i]] ^= diffs[i];
     }
-    found = code.decode_legacy(full, {}).status == rs::DecodeStatus::kFailure;
+    found = code.decode(full, {}).status == rs::DecodeStatus::kFailure;
   }
   if (!found) {
     outcome.detail = "no doubly-failing flip pattern found";
@@ -552,7 +552,7 @@ void run_retirement(const FaultCampaignConfig& config,
   sim::Rng data_rng = rng.split(1);
   const std::vector<Element> data = make_data(config.code, data_rng);
   std::vector<Element> codeword(config.code.n, 0);
-  code.encode_legacy(data, codeword);
+  code.encode(data, codeword);
   const unsigned beyond = (config.code.n - config.code.k) / 2 + 2;
   ErrorPattern pattern;
   sim::Rng search_rng = rng.split(2);

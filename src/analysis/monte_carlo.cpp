@@ -18,12 +18,12 @@ constexpr double kZ95 = 1.959963984540054;  // two-sided 95% normal quantile
 // systems stay cache-resident.
 constexpr std::size_t kDefaultBatchTrials = 64;
 
-// The batched path requires the workspace fast path (decode_batch) and an
-// inert degradation policy (the rungs re-read the module mid-decode, which
-// cannot be lifted into a plane). Width 1 is the per-trial read() control.
+// The batched path requires an inert degradation policy (the rungs re-read
+// the module mid-decode, which cannot be lifted into a plane). Width 1 is
+// the per-trial read() control.
 std::size_t resolve_batch_width(const MonteCarloConfig& config,
                                 const memory::DegradationPolicy& degradation) {
-  if (config.legacy_codec || degradation.any_enabled()) return 1;
+  if (degradation.any_enabled()) return 1;
   return config.batch_trials == 0 ? kDefaultBatchTrials : config.batch_trials;
 }
 
@@ -74,6 +74,20 @@ sim::Rng trial_data_rng(const sim::Rng& root, std::size_t trial) {
 }
 std::uint64_t trial_system_seed(const sim::Rng& root, std::size_t trial) {
   return root.split(2 * trial + 1).next_u64();
+}
+
+// The campaign's one codec (the system's shared codec when it brings one):
+// building GF tables + generator per trial is pure overhead, and the codec
+// is immutable so sharing across workers is safe. Its dense mul and SIMD
+// tables are built here, before the pool threads race for them.
+std::shared_ptr<const rs::ReedSolomon> campaign_code(
+    const std::shared_ptr<const rs::ReedSolomon>& shared,
+    const rs::CodeParams& params) {
+  std::shared_ptr<const rs::ReedSolomon> code =
+      shared ? shared : std::make_shared<const rs::ReedSolomon>(params);
+  rs::DecoderWorkspace warm;
+  warm.reserve(*code);
+  return code;
 }
 
 MonteCarloResult run_campaign(const MonteCarloConfig& config,
@@ -169,37 +183,25 @@ MonteCarloResult run_simplex_trials(const memory::SimplexSystemConfig& system,
     throw std::invalid_argument("run_simplex_trials: need at least 1 trial");
   }
   const sim::Rng root{config.seed};
-  // One codec for the whole campaign (unless the legacy baseline was
-  // requested): building GF tables + generator per trial is pure overhead,
-  // and the codec is immutable so sharing across workers is safe. Warm the
-  // dense mul table here, before the pool threads race for it.
-  std::shared_ptr<const rs::ReedSolomon> shared_code;
-  if (!config.legacy_codec) {
-    shared_code = system.shared_code
-                      ? system.shared_code
-                      : std::make_shared<const rs::ReedSolomon>(system.code);
-    rs::DecoderWorkspace warm;
-    warm.reserve(*shared_code);
-  }
+  const std::shared_ptr<const rs::ReedSolomon> shared_code =
+      campaign_code(system.shared_code, system.code);
   std::vector<MonteCarloAccumulator> shards;
   const std::size_t batch = resolve_batch_width(config, system.degradation);
   const unsigned n = system.code.n;
   const unsigned k = system.code.k;
   const auto chunk = [&](std::size_t chunk_index, std::size_t first,
                          std::size_t last) {
-    // One workspace per pool thread (the thread-safety rule of the fast
-    // path); it persists across chunks so steady-state trials allocate no
-    // codec scratch at all.
+    // One batch workspace per pool thread (the thread-safety rule of the
+    // codec); it persists across chunks so steady-state trials allocate no
+    // codec scratch at all. Per-word decodes inside the systems use the
+    // codec's own per-thread workspace.
     thread_local rs::DecoderWorkspace ws;
     MonteCarloAccumulator& acc = shards[chunk_index];
     // Constructs one trial's system (no data stored yet).
     const auto build_system = [&](std::size_t trial) {
       memory::SimplexSystemConfig cfg = system;
       cfg.seed = trial_system_seed(root, trial);
-      if (!config.legacy_codec) {
-        cfg.shared_code = shared_code;
-        cfg.workspace = &ws;
-      }
+      cfg.shared_code = shared_code;
       return std::make_unique<memory::SimplexSystem>(cfg);
     };
     // Runs one trial's life up to the stopping time; the final read is the
@@ -301,14 +303,8 @@ MonteCarloResult run_duplex_trials(const memory::DuplexSystemConfig& system,
     throw std::invalid_argument("run_duplex_trials: need at least 1 trial");
   }
   const sim::Rng root{config.seed};
-  std::shared_ptr<const rs::ReedSolomon> shared_code;
-  if (!config.legacy_codec) {
-    shared_code = system.shared_code
-                      ? system.shared_code
-                      : std::make_shared<const rs::ReedSolomon>(system.code);
-    rs::DecoderWorkspace warm;
-    warm.reserve(*shared_code);
-  }
+  const std::shared_ptr<const rs::ReedSolomon> shared_code =
+      campaign_code(system.shared_code, system.code);
   std::vector<MonteCarloAccumulator> shards;
   const std::size_t batch = resolve_batch_width(config, system.degradation);
   const unsigned n = system.code.n;
@@ -320,10 +316,7 @@ MonteCarloResult run_duplex_trials(const memory::DuplexSystemConfig& system,
     const auto build_system = [&](std::size_t trial) {
       memory::DuplexSystemConfig cfg = system;
       cfg.seed = trial_system_seed(root, trial);
-      if (!config.legacy_codec) {
-        cfg.shared_code = shared_code;
-        cfg.workspace = &ws;
-      }
+      cfg.shared_code = shared_code;
       return std::make_unique<memory::DuplexSystem>(cfg);
     };
     const auto make_system = [&](std::size_t trial) {

@@ -67,22 +67,12 @@ struct MonteCarloConfig {
   // call at store time, and their raw module reads are gathered into one
   // word/flag plane and decoded by a single rs::decode_batch call, so clean
   // words exit through the plane-wide SIMD syndrome screen. 0 selects the
-  // default width; 1
-  // forces the historical per-trial read() path (the A/B control — also
-  // taken whenever legacy_codec is set or a degradation rung is enabled,
-  // since those reads cannot be batched). Like threads/chunk_trials this
-  // knob NEVER changes the result: every trial's RNG streams stay keyed by
-  // its global index, and the batched decode is bit-identical per word.
+  // default width; 1 forces the historical per-trial read() path (the A/B
+  // control — also taken whenever a degradation rung is enabled, since
+  // those reads cannot be batched). Like threads/chunk_trials this knob
+  // NEVER changes the result: every trial's RNG streams stay keyed by its
+  // global index, and the batched decode is bit-identical per word.
   std::size_t batch_trials = 0;
-
-  // When false (default) all trials share one pre-built codec and route
-  // encode/decode through the allocation-free workspace fast path, one
-  // workspace per pool thread. When true every trial builds its own codec
-  // and uses the legacy reference path — the pre-PR-2 behaviour, kept for
-  // differential tests and benchmark baselines. Estimates are bit-identical
-  // either way (the codec paths produce identical outputs and neither
-  // touches the trial RNG streams).
-  bool legacy_codec = false;
 
   // Optional per-trial hook, invoked after each trial completes. Called
   // CONCURRENTLY from shard workers in no particular order (records carry

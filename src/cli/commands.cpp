@@ -153,7 +153,6 @@ int cmd_version(std::ostream& out) {
   const auto kernels_of = [](gf::simd::Backend b) -> const gf::simd::Kernels* {
     switch (b) {
       case gf::simd::Backend::kScalar: return gf::simd::scalar_kernels();
-      case gf::simd::Backend::kSwar: return gf::simd::swar_kernels();
       case gf::simd::Backend::kSsse3: return gf::simd::ssse3_kernels();
       case gf::simd::Backend::kAvx2: return gf::simd::avx2_kernels();
       case gf::simd::Backend::kGfni: return gf::simd::gfni_kernels();

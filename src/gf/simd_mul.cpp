@@ -1,30 +1,19 @@
-// Scalar + SWAR GF(2^m) kernels and the runtime backend dispatcher.
+// Scalar GF(2^m) kernels and the runtime backend dispatcher.
 //
 // The vector-ISA backends live in their own translation units
-// (simd_mul_ssse3.cpp / simd_mul_avx2.cpp) compiled with the matching
-// per-file -m flags, so the rest of the library never emits an instruction
-// the host might not have; this file only ever calls them through function
-// pointers after a CPUID check.
+// (simd_mul_ssse3.cpp / simd_mul_avx2.cpp / simd_mul_gfni.cpp) compiled
+// with the matching per-file -m flags, so the rest of the library never
+// emits an instruction the host might not have; this file only ever calls
+// them through function pointers after a CPUID check.
 #include "gf/simd_mul.h"
 
 #include <atomic>
 #include <cstdlib>
-#include <cstring>
 #include <string>
 
 namespace rsmem::gf::simd {
 
 namespace {
-
-inline std::uint64_t load64(const std::uint8_t* p) {
-  std::uint64_t v;
-  std::memcpy(&v, p, sizeof(v));
-  return v;
-}
-
-inline void store64(std::uint8_t* p, std::uint64_t v) {
-  std::memcpy(p, &v, sizeof(v));
-}
 
 // ---- scalar backend: byte-at-a-time split-nibble lookups ----------------
 
@@ -39,48 +28,8 @@ void scalar_xor_acc(std::uint8_t* dst, const std::uint8_t* src,
   for (std::size_t i = 0; i < len; ++i) dst[i] ^= src[i];
 }
 
-// ---- SWAR backend: 8 bytes per step, table-free multiply ----------------
-//
-// Multiplies every byte lane of a 64-bit word by the constant c with the
-// classic shift-and-reduce loop, SWAR-ified: the per-lane carry into x^m is
-// isolated with a lane mask and folded back with the primitive polynomial.
-// All lane products stay inside their byte (2^m <= 256 and the reduction
-// constant fits a byte), so no cross-lane carries are possible.
-
-void swar_mul_const_acc(std::uint8_t* dst, const std::uint8_t* src,
-                        const MulTables& t, std::size_t len) {
-  if (t.c == 0) return;
-  const unsigned m = t.m;
-  const std::uint64_t msb_mask =
-      0x0101010101010101ULL * (std::uint64_t{1} << (m - 1));
-  const std::uint64_t reduce = t.poly & ((std::uint64_t{1} << m) - 1);
-  std::size_t i = 0;
-  for (; i + 8 <= len; i += 8) {
-    std::uint64_t x = load64(src + i);
-    std::uint64_t r = 0;
-    for (std::uint8_t c = t.c; c != 0; c >>= 1) {
-      if (c & 1) r ^= x;
-      const std::uint64_t hi = x & msb_mask;
-      x = ((x ^ hi) << 1) ^ ((hi >> (m - 1)) * reduce);
-    }
-    store64(dst + i, load64(dst + i) ^ r);
-  }
-  for (; i < len; ++i) dst[i] ^= mul_one(t, src[i]);
-}
-
-void swar_xor_acc(std::uint8_t* dst, const std::uint8_t* src,
-                  std::size_t len) {
-  std::size_t i = 0;
-  for (; i + 8 <= len; i += 8) {
-    store64(dst + i, load64(dst + i) ^ load64(src + i));
-  }
-  for (; i < len; ++i) dst[i] ^= src[i];
-}
-
 constexpr Kernels kScalarKernels{Backend::kScalar, "scalar",
                                  &scalar_mul_const_acc, &scalar_xor_acc};
-constexpr Kernels kSwarKernels{Backend::kSwar, "swar", &swar_mul_const_acc,
-                               &swar_xor_acc};
 
 // ---- dispatch -----------------------------------------------------------
 
@@ -107,8 +56,6 @@ const Kernels* kernels_for(Backend b) {
   switch (b) {
     case Backend::kScalar:
       return scalar_kernels();
-    case Backend::kSwar:
-      return swar_kernels();
     case Backend::kSsse3:
       return ssse3_kernels();
     case Backend::kAvx2:
@@ -126,7 +73,6 @@ bool env_backend(Backend& out) {
   if (env == nullptr || *env == '\0') return false;
   const std::string v{env};
   if (v == "scalar") return out = Backend::kScalar, true;
-  if (v == "swar") return out = Backend::kSwar, true;
   if (v == "ssse3") return out = Backend::kSsse3, true;
   if (v == "avx2") return out = Backend::kAvx2, true;
   if (v == "gfni") return out = Backend::kGfni, true;
@@ -138,7 +84,6 @@ std::atomic<const Kernels*> g_active{nullptr};
 }  // namespace
 
 const Kernels* scalar_kernels() { return &kScalarKernels; }
-const Kernels* swar_kernels() { return &kSwarKernels; }
 
 #if !defined(RSMEM_HAVE_SSSE3)
 const Kernels* ssse3_kernels() { return nullptr; }
@@ -151,11 +96,8 @@ const Kernels* gfni_kernels() { return nullptr; }
 #endif
 
 void build_tables(MulTables& t, const GaloisField& field, Element c) {
-  const unsigned m = field.m();
   const std::uint32_t size = field.size();
   t.c = static_cast<std::uint8_t>(c);
-  t.m = static_cast<std::uint8_t>(m);
-  t.poly = static_cast<std::uint16_t>(field.primitive_poly());
   for (unsigned v = 0; v < 16; ++v) {
     t.lo[v] = v < size ? static_cast<std::uint8_t>(field.mul(c, v)) : 0;
     const unsigned vh = v << 4;
@@ -186,16 +128,12 @@ Backend select_backend() {
   if (env_backend(requested) && backend_supported(requested)) {
     return requested;
   }
-#if defined(RSMEM_DISABLE_SIMD)
-  // The nosimd build keeps the scalar path as the default A/B control; the
-  // env knob above can still opt into the (always portable) SWAR backend.
-  return Backend::kScalar;
-#else
   if (backend_supported(Backend::kGfni)) return Backend::kGfni;
   if (backend_supported(Backend::kAvx2)) return Backend::kAvx2;
   if (backend_supported(Backend::kSsse3)) return Backend::kSsse3;
-  return Backend::kSwar;
-#endif
+  // No vector backend (a -DRSMEM_DISABLE_SIMD=ON build compiles none in):
+  // the codec runs its original scalar loops.
+  return Backend::kScalar;
 }
 
 const Kernels& active() {
@@ -218,8 +156,6 @@ const char* to_string(Backend b) {
   switch (b) {
     case Backend::kScalar:
       return "scalar";
-    case Backend::kSwar:
-      return "swar";
     case Backend::kSsse3:
       return "ssse3";
     case Backend::kAvx2:

@@ -16,8 +16,6 @@
 //   kScalar  byte-at-a-time nibble lookups; the A/B control. When the
 //            active backend is kScalar the RS codec bypasses the kernel
 //            layer entirely and runs its original scalar loops.
-//   kSwar    portable 64-bit SWAR: 8 bytes per step, branch-free
-//            shift-and-reduce multiply. No ISA requirements.
 //   kSsse3   PSHUFB split-nibble, 16 bytes per step (x86 SSSE3).
 //   kAvx2    VPSHUFB split-nibble, 32 bytes per step (x86 AVX2).
 //   kGfni    GF2P8AFFINEQB affine multiply, 64 bytes per step (x86 GFNI +
@@ -29,8 +27,8 @@
 // DISPATCH / ONE-BACKEND-PER-PROCESS RULE: the backend is chosen once, on
 // first use, by select_backend() — compile-time gates (RSMEM_DISABLE_SIMD,
 // per-arch availability), then the RSMEM_GF_BACKEND environment knob
-// (scalar|swar|ssse3|avx2|gfni|auto), then CPUID feature detection, best
-// first (gfni > avx2 > ssse3 > swar).
+// (scalar|ssse3|avx2|gfni|auto), then CPUID feature detection, best first
+// (gfni > avx2 > ssse3), falling back to scalar on hosts with none.
 // All threads share the selected kernel table for the life of the process.
 // force_backend() exists ONLY for tests and benchmarks that A/B the
 // backends in a single process; it is not thread-safe against concurrent
@@ -51,31 +49,26 @@
 
 namespace rsmem::gf::simd {
 
-enum class Backend : std::uint8_t { kScalar = 0, kSwar, kSsse3, kAvx2, kGfni };
+enum class Backend : std::uint8_t { kScalar = 0, kSsse3, kAvx2, kGfni };
 
 // Every backend, in dispatch preference order (best last). Iteration helper
 // for version reporting, the differential suite, and the bench sweeps.
-inline constexpr Backend kAllBackends[] = {Backend::kScalar, Backend::kSwar,
-                                           Backend::kSsse3, Backend::kAvx2,
-                                           Backend::kGfni};
+inline constexpr Backend kAllBackends[] = {Backend::kScalar, Backend::kSsse3,
+                                           Backend::kAvx2, Backend::kGfni};
 
 // Split-nibble multiplication tables for one constant c in GF(2^m), m <= 8:
 //   lo[v] = c * v          for v in [0, 16)
 //   hi[v] = c * (v << 4)   for v with (v << 4) inside the field, else 0
-// plus the raw (c, m, poly) triple so the SWAR backend can run its
-// table-free shift-and-reduce multiply, and the 8x8 GF(2) bit matrix of
-// x -> c*x for the GFNI backend: qword byte (7 - i) holds row i (the mask
-// of input bits feeding output bit i, i.e. bit j is set iff bit i of
-// c * 2^j is, with columns j >= m zeroed) — exactly the operand layout of
-// GF2P8AFFINEQB. 64-byte aligned so a kernel can load all tables from one
-// cache line.
+// plus the constant c itself and the 8x8 GF(2) bit matrix of x -> c*x for
+// the GFNI backend: qword byte (7 - i) holds row i (the mask of input bits
+// feeding output bit i, i.e. bit j is set iff bit i of c * 2^j is, with
+// columns j >= m zeroed) — exactly the operand layout of GF2P8AFFINEQB.
+// 64-byte aligned so a kernel can load all tables from one cache line.
 struct alignas(kHotPathAlignment) MulTables {
   std::uint8_t lo[16];
   std::uint8_t hi[16];
   std::uint64_t affine = 0;  // GFNI affine matrix of x -> c*x
   std::uint8_t c = 0;
-  std::uint8_t m = 0;
-  std::uint16_t poly = 0;  // primitive polynomial with the x^m term
 };
 static_assert(sizeof(MulTables) == kHotPathAlignment,
               "MulTables must occupy exactly one cache line");
@@ -105,7 +98,7 @@ struct Kernels {
   // source loads (and, on the PSHUFB backends, the nibble extraction) are
   // paid once per vector step instead of once per row — the shape of the
   // batch codec's syndrome/parity sweeps, which call this once per
-  // codeword position. OPTIONAL: may be nullptr (kSwar leaves it null);
+  // codeword position. OPTIONAL: may be nullptr (kScalar leaves it null);
   // callers must fall back to the mul_const_acc loop. The dst rows must
   // not overlap src or each other.
   void (*mul_rows_acc)(std::uint8_t* dst, std::size_t dst_stride,
@@ -114,7 +107,7 @@ struct Kernels {
 };
 
 // True if `b` is compiled in AND usable on this host (CPUID-checked for the
-// vector backends). kScalar and kSwar are always supported.
+// vector backends). kScalar is always supported.
 bool backend_supported(Backend b);
 
 // The backend select_backend() would pick from compile gates, the
@@ -143,7 +136,6 @@ inline std::uint8_t mul_one(const MulTables& t, std::uint8_t x) {
 // RSMEM_DISABLE_SIMD). A non-null table only proves the backend is compiled
 // in — backend_supported() additionally checks the host CPU.
 const Kernels* scalar_kernels();
-const Kernels* swar_kernels();
 const Kernels* ssse3_kernels();
 const Kernels* avx2_kernels();
 const Kernels* gfni_kernels();

@@ -91,8 +91,7 @@ void Arbiter::select(std::span<const Element> word1,
 ArbiterResult Arbiter::arbitrate(std::span<const Element> word1,
                                  std::span<const Element> word2,
                                  std::span<const unsigned> erasures1,
-                                 std::span<const unsigned> erasures2,
-                                 rs::DecoderWorkspace* ws) const {
+                                 std::span<const unsigned> erasures2) const {
   const unsigned n = code_->n();
   if (word1.size() != n || word2.size() != n) {
     throw std::invalid_argument("Arbiter::arbitrate: word size != n");
@@ -117,13 +116,8 @@ ArbiterResult Arbiter::arbitrate(std::span<const Element> word1,
   mask_erasures(w1, w2, f1, f2, result);
 
   // Step 2: independent decoding with the common erasures.
-  if (ws != nullptr) {
-    result.outcome1 = code_->decode(*ws, w1, result.common_erasures);
-    result.outcome2 = code_->decode(*ws, w2, result.common_erasures);
-  } else {
-    result.outcome1 = code_->decode_legacy(w1, result.common_erasures);
-    result.outcome2 = code_->decode_legacy(w2, result.common_erasures);
-  }
+  result.outcome1 = code_->decode(w1, result.common_erasures);
+  result.outcome2 = code_->decode(w2, result.common_erasures);
 
   select(w1, w2, result);
   return result;

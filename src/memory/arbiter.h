@@ -71,14 +71,10 @@ class Arbiter {
 
   // `word1`/`word2` are the raw module reads (length n);
   // `erasures1`/`erasures2` the modules' detected-fault symbol positions.
-  // When `ws` is non-null the decodes route through the allocation-free
-  // workspace fast path; when null they use the legacy reference decoder.
-  // Outcomes are bit-identical either way.
   ArbiterResult arbitrate(std::span<const Element> word1,
                           std::span<const Element> word2,
                           std::span<const unsigned> erasures1,
-                          std::span<const unsigned> erasures2,
-                          rs::DecoderWorkspace* ws = nullptr) const;
+                          std::span<const unsigned> erasures2) const;
 
   // Split surface for batched campaigns: the decision procedure with step 2
   // (the two decodes) lifted out, so a caller can gather many masked word

@@ -49,11 +49,7 @@ void DuplexSystem::store(std::span<const Element> data) {
   }
   stored_data_.assign(data.begin(), data.end());
   stored_codeword_.assign(code_->n(), 0);
-  if (config_.workspace != nullptr) {
-    code_->encode(*config_.workspace, stored_data_, stored_codeword_);
-  } else {
-    code_->encode_legacy(stored_data_, stored_codeword_);
-  }
+  code_->encode(stored_data_, stored_codeword_);
   commit_store();
 }
 
@@ -138,10 +134,7 @@ ArbiterResult DuplexSystem::survivor_arbiter_result() const {
   survivor.detected_erasures_into(erasures1_scratch_);
   ArbiterResult result;
   const rs::DecodeOutcome outcome =
-      config_.workspace != nullptr
-          ? code_->decode(*config_.workspace, word1_scratch_,
-                          erasures1_scratch_)
-          : code_->decode_legacy(word1_scratch_, erasures1_scratch_);
+      code_->decode(word1_scratch_, erasures1_scratch_);
   result.outcome1 = outcome;
   result.flag1 = outcome.correction_flag();
   if (outcome.ok()) {
@@ -158,7 +151,7 @@ ArbiterResult DuplexSystem::arbitrate_current() const {
   module1_.detected_erasures_into(erasures1_scratch_);
   module2_.detected_erasures_into(erasures2_scratch_);
   return arbiter_.arbitrate(word1_scratch_, word2_scratch_, erasures1_scratch_,
-                            erasures2_scratch_, config_.workspace);
+                            erasures2_scratch_);
 }
 
 bool DuplexSystem::probe_decode(const MemoryModule& module,
@@ -166,11 +159,7 @@ bool DuplexSystem::probe_decode(const MemoryModule& module,
                                 std::vector<unsigned>& erasures) const {
   module.read_into(word);
   module.detected_erasures_into(erasures);
-  const rs::DecodeOutcome outcome =
-      config_.workspace != nullptr
-          ? code_->decode(*config_.workspace, word, erasures)
-          : code_->decode_legacy(word, erasures);
-  return outcome.ok();
+  return code_->decode(word, erasures).ok();
 }
 
 void DuplexSystem::maybe_demote() const {
@@ -226,8 +215,7 @@ ArbiterResult DuplexSystem::arbitrate_with_recovery() const {
       module1_.read_into(word1_scratch_);
       module2_.read_into(word2_scratch_);
       result = arbiter_.arbitrate(word1_scratch_, word2_scratch_,
-                                  erasures1_scratch_, erasures2_scratch_,
-                                  config_.workspace);
+                                  erasures1_scratch_, erasures2_scratch_);
       if (result.has_output()) ++degradation_.erasure_only_recoveries;
     }
   }
@@ -293,7 +281,7 @@ DuplexReadResult DuplexSystem::read() const {
 
 bool DuplexSystem::supports_batched_read() const {
   return stored_ && !retired_ && dead_module_ < 0 &&
-         config_.workspace != nullptr && !config_.degradation.any_enabled();
+         !config_.degradation.any_enabled();
 }
 
 void DuplexSystem::read_into_masked_pair(std::span<Element> word1,
@@ -304,7 +292,7 @@ void DuplexSystem::read_into_masked_pair(std::span<Element> word1,
   if (!supports_batched_read()) {
     throw std::logic_error(
         "DuplexSystem::read_into_masked_pair: batched read unsupported "
-        "(need stored data, workspace fast path, inert degradation policy)");
+        "(need stored data, inert degradation policy)");
   }
   module1_.read_into_plane(word1, flags1);
   module2_.read_into_plane(word2, flags2);

@@ -29,9 +29,8 @@ struct DuplexSystemConfig {
   ScrubPolicy scrub_policy = ScrubPolicy::kNone;
   double scrub_period_hours = 0.0;
   std::uint64_t seed = 1;
-  // Optional codec sharing / fast-path routing; see SimplexSystemConfig.
+  // Optional codec sharing; see SimplexSystemConfig.
   std::shared_ptr<const rs::ReedSolomon> shared_code;
-  rs::DecoderWorkspace* workspace = nullptr;
   // Graceful-degradation escalation chain (memory/degradation.h). All
   // features default off; the default policy leaves outputs bit-identical.
   DegradationPolicy degradation;
@@ -74,9 +73,8 @@ class DuplexSystem {
   // arbiter's flag-based selection. Bit-identical to read() whenever
   // supports_batched_read() holds.
   //
-  // True when read() reduces to {mask, two workspace decodes, select}:
-  // data stored, not retired, not demoted, workspace fast path configured,
-  // every degradation rung disabled.
+  // True when read() reduces to {mask, two decodes, select}: data stored,
+  // not retired, not demoted, every degradation rung disabled.
   bool supports_batched_read() const;
   // Gather + arbiter step 1: raw module reads masked in place, both flag
   // spans rewritten to the common-erasure indicator, `partial` filled with

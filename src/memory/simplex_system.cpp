@@ -43,11 +43,7 @@ void SimplexSystem::store(std::span<const Element> data) {
   }
   stored_data_.assign(data.begin(), data.end());
   stored_codeword_.assign(code_->n(), 0);
-  if (config_.workspace != nullptr) {
-    code_->encode(*config_.workspace, stored_data_, stored_codeword_);
-  } else {
-    code_->encode_legacy(stored_data_, stored_codeword_);
-  }
+  code_->encode(stored_data_, stored_codeword_);
   commit_store();
 }
 
@@ -123,17 +119,9 @@ void SimplexSystem::advance_to(double t_hours) {
   stats_.permanent_injected = injector_->permanent_injected();
 }
 
-rs::DecodeOutcome SimplexSystem::run_decode(
-    std::span<Element> word, std::span<const unsigned> erasures) const {
-  if (config_.workspace != nullptr) {
-    return code_->decode(*config_.workspace, word, erasures);
-  }
-  return code_->decode_legacy(word, erasures);
-}
-
 rs::DecodeOutcome SimplexSystem::decode_with_recovery(
     std::span<Element> word, std::vector<unsigned>& erasures) const {
-  rs::DecodeOutcome outcome = run_decode(word, erasures);
+  rs::DecodeOutcome outcome = code_->decode(word, erasures);
   const DegradationPolicy& policy = config_.degradation;
   if (!outcome.ok() && policy.retry_with_detection) {
     // Rung 1: trigger the module self-test; located stuck bits become
@@ -144,7 +132,7 @@ rs::DecodeOutcome SimplexSystem::decode_with_recovery(
       module_.detect_all_faults();
       module_.read_into(word);
       module_.detected_erasures_into(erasures);
-      outcome = run_decode(word, erasures);
+      outcome = code_->decode(word, erasures);
       if (outcome.ok()) ++degradation_.retry_recoveries;
     }
   }
@@ -160,7 +148,7 @@ rs::DecodeOutcome SimplexSystem::decode_with_recovery(
       degradation_.banks_condemned += condemned;
       ++degradation_.erasure_only_decodes;
       module_.read_into(word);
-      outcome = run_decode(word, erasures);
+      outcome = code_->decode(word, erasures);
       if (outcome.ok()) ++degradation_.erasure_only_recoveries;
     }
   }
@@ -205,8 +193,7 @@ ReadResult SimplexSystem::read() const {
 }
 
 bool SimplexSystem::supports_batched_read() const {
-  return stored_ && !retired_ && config_.workspace != nullptr &&
-         !config_.degradation.any_enabled();
+  return stored_ && !retired_ && !config_.degradation.any_enabled();
 }
 
 void SimplexSystem::read_into_plane(
@@ -214,7 +201,7 @@ void SimplexSystem::read_into_plane(
   if (!supports_batched_read()) {
     throw std::logic_error(
         "SimplexSystem::read_into_plane: batched read unsupported "
-        "(need stored data, workspace fast path, inert degradation policy)");
+        "(need stored data, inert degradation policy)");
   }
   module_.read_into_plane(word, erasure_flags);
 }
@@ -226,8 +213,8 @@ ReadResult SimplexSystem::finish_batched_read(
         "SimplexSystem::finish_batched_read: batched read unsupported");
   }
   // Replays read()'s tail: with an inert degradation policy
-  // decode_with_recovery is exactly {run_decode, note_decode_result}, and
-  // the decode already happened externally.
+  // decode_with_recovery is exactly {decode, note_decode_result}, and the
+  // decode already happened externally.
   note_decode_result(outcome.ok());
   ReadResult result;
   result.outcome = outcome;

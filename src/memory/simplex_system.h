@@ -59,11 +59,6 @@ struct SimplexSystemConfig {
   // this codec instead of constructing its own (parameters must match
   // `code`; mismatch throws). Saves the per-trial field/generator build.
   std::shared_ptr<const rs::ReedSolomon> shared_code;
-  // Optional decoder scratch arena: non-null routes every encode/decode
-  // through the allocation-free fast path; null keeps the legacy reference
-  // codec. Results are bit-identical either way. The workspace must outlive
-  // the system and must not be shared across threads.
-  rs::DecoderWorkspace* workspace = nullptr;
   // Graceful-degradation escalation chain (memory/degradation.h). All
   // features default off; rungs only engage after a decode has failed, so
   // the default policy leaves every output bit-identical.
@@ -100,13 +95,12 @@ class SimplexSystem {
   // A campaign can gather many systems' raw reads into one word/flag plane,
   // run a single rs::decode_batch over it, and hand each word's outcome
   // back to its system. The split read is bit-identical to read() whenever
-  // supports_batched_read() holds: the fast-path decode is external but
-  // identical, and finish_batched_read replays read()'s bookkeeping.
+  // supports_batched_read() holds: the decode is external but identical,
+  // and finish_batched_read replays read()'s bookkeeping.
   //
-  // True when the per-word read() reduces to exactly {gather, one workspace
-  // decode, finish}: data stored, not retired, workspace fast path
-  // configured, and every degradation rung disabled (the rungs re-read the
-  // module mid-decode, which cannot be batched).
+  // True when the per-word read() reduces to exactly {gather, one decode,
+  // finish}: data stored, not retired, and every degradation rung disabled
+  // (the rungs re-read the module mid-decode, which cannot be batched).
   bool supports_batched_read() const;
   // Raw module gather: word values + per-symbol detected-erasure flags
   // (both spans of size n), in decode_batch's erasure_flags layout.
@@ -145,12 +139,9 @@ class SimplexSystem {
   void commit_store();
   void scrub();
   void schedule_next_scrub();
-  // Routes through the workspace fast path when configured, else legacy.
-  rs::DecodeOutcome run_decode(std::span<Element> word,
-                               std::span<const unsigned> erasures) const;
-  // run_decode plus the degradation escalation chain (retry-with-detection,
+  // One decode plus the degradation escalation chain (retry-with-detection,
   // bank-wide erasure fallback) and the consecutive-failure/retire
-  // bookkeeping. With the default policy this is exactly run_decode.
+  // bookkeeping. With the default policy this is exactly one decode.
   rs::DecodeOutcome decode_with_recovery(std::span<Element> word,
                                          std::vector<unsigned>& erasures) const;
   void note_decode_result(bool ok) const;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstring>
-#include <set>
 #include <stdexcept>
 #include <string>
 
@@ -303,31 +302,6 @@ void ReedSolomon::encode(std::span<const Element> data,
   }
 }
 
-void ReedSolomon::encode(DecoderWorkspace& /*ws*/,
-                         std::span<const Element> data,
-                         std::span<Element> codeword) const {
-  encode(data, codeword);
-}
-
-void ReedSolomon::encode_legacy(std::span<const Element> data,
-                                std::span<Element> codeword) const {
-  validate_encode_args(data, codeword);
-  // Message polynomial with data[0] as the highest-degree coefficient:
-  // M(x) = sum_p data[p] * x^(k-1-p); codeword poly c(x) = M(x)*x^(n-k) - R,
-  // R = (M(x)*x^(n-k)) mod g(x). External position p holds coeff of x^(n-1-p).
-  std::vector<Element> shifted(params_.n, 0);
-  for (unsigned p = 0; p < params_.k; ++p) {
-    shifted[params_.n - 1 - p] = data[p];
-  }
-  const Poly remainder =
-      Poly::mod(field_, Poly{std::move(shifted)}, generator_);
-  std::copy(data.begin(), data.end(), codeword.begin());
-  for (unsigned j = 0; j < parity_symbols(); ++j) {
-    // Parity position k+j holds coeff of x^(n-1-(k+j)) = x^(n-k-1-j).
-    codeword[params_.k + j] = remainder.coeff(parity_symbols() - 1 - j);
-  }
-}
-
 std::vector<Element> ReedSolomon::encode(std::span<const Element> data) const {
   std::vector<Element> cw(params_.n, 0);
   encode(data, cw);
@@ -541,7 +515,10 @@ std::vector<Element> ReedSolomon::extract_data(
 
 DecodeOutcome ReedSolomon::decode(
     std::span<Element> word, std::span<const unsigned> erasure_positions) const {
-  DecoderWorkspace ws;
+  // One scratch arena per thread, shared by every code: it grows to the
+  // largest code this thread decodes and is reused from then on, and no two
+  // threads ever touch the same workspace.
+  thread_local DecoderWorkspace ws;
   return decode(ws, word, erasure_positions);
 }
 
@@ -556,11 +533,12 @@ DecodeOutcome ReedSolomon::decode(
   return decode_fast<false>(ws, word, erasure_positions, nullptr);
 }
 
-// The allocation-free pipeline. Mirrors decode_legacy step for step; every
-// field operation computes the same element values in the same per-chain
-// order, so outcomes AND corrected words are bit-identical — the only
-// reorderings are across independent computations (syndrome chains,
-// commutative locator products).
+// The allocation-free pipeline. Mirrors the Poly-based reference decoder
+// (tests/oracles/reference_codec.cpp) step for step; every field operation
+// computes the same element values in the same per-chain order, so
+// outcomes AND corrected words are bit-identical — the only reorderings are
+// across independent computations (syndrome chains, commutative locator
+// products).
 template <bool kDense>
 DecodeOutcome ReedSolomon::decode_fast(
     DecoderWorkspace& ws, std::span<Element> word,
@@ -631,9 +609,9 @@ DecodeOutcome ReedSolomon::decode_fast(
   bool clean = true;
   for (unsigned j = 0; j < two_t; ++j) clean = clean && synd[j] == 0;
   if (clean) {
-    // Already a codeword: with no erasures this matches the legacy early
-    // exit; with erasures the legacy pipeline walks Chien/Forney only to
-    // compute all-zero magnitudes and land on the same kNoError.
+    // Already a codeword: with no erasures this matches the reference
+    // decoder's early exit; with erasures the reference walks Chien/Forney
+    // only to compute all-zero magnitudes and land on the same kNoError.
     return {DecodeStatus::kNoError, 0, 0};
   }
 
@@ -847,150 +825,6 @@ DecodeOutcome ReedSolomon::decode_fast(
     if (synd[j] != 0) return {DecodeStatus::kFailure, 0, 0};
   }
   std::copy(corrected, corrected + n, word.begin());
-  if (errors_corrected == 0 && erasures_corrected == 0) {
-    return {DecodeStatus::kNoError, 0, 0};
-  }
-  return {DecodeStatus::kCorrected, errors_corrected, erasures_corrected};
-}
-
-DecodeOutcome ReedSolomon::decode_legacy(
-    std::span<Element> word, std::span<const unsigned> erasure_positions) const {
-  if (word.size() != params_.n) {
-    throw std::invalid_argument("ReedSolomon::decode: word size != n");
-  }
-  std::set<unsigned> erasure_set;
-  for (const unsigned p : erasure_positions) {
-    if (p >= params_.n) {
-      throw std::invalid_argument(
-          "ReedSolomon::decode: erasure position out of range");
-    }
-    if (!erasure_set.insert(p).second) {
-      throw std::invalid_argument(
-          "ReedSolomon::decode: duplicate erasure position");
-    }
-  }
-  for (const Element w : word) {
-    if (!field_.contains(w)) {
-      throw std::invalid_argument("ReedSolomon::decode: symbol out of field");
-    }
-  }
-
-  const unsigned two_t = parity_symbols();
-  const unsigned rho = static_cast<unsigned>(erasure_set.size());
-  if (rho > two_t) {
-    return {DecodeStatus::kFailure, 0, 0};
-  }
-
-  std::vector<Element> synd;
-  const bool clean = syndromes(word, synd);
-  if (clean && rho == 0) {
-    return {DecodeStatus::kNoError, 0, 0};
-  }
-
-  // Erasure locator Gamma(x) = prod_i (1 - X_i x), X_i the position locators.
-  Poly gamma = Poly::one();
-  for (const unsigned p : erasure_set) {
-    const Element X = locator_of_position(p);
-    gamma = Poly::mul(field_, gamma, Poly{std::vector<Element>{1, X}});
-  }
-
-  // Modified syndrome Xi(x) = S(x) * Gamma(x) mod x^(2t).
-  const Poly S{std::vector<Element>(synd.begin(), synd.end())};
-  const Poly xi = Poly::mul(field_, S, gamma).truncated(two_t);
-
-  Poly lambda = Poly::one();  // error locator (errors only)
-  Poly omega;                 // evaluator for the combined locator
-  if (xi.is_zero()) {
-    // Errors are confined to the erasure positions (if any).
-    omega = Poly::zero();
-  } else {
-    // Sugiyama: extended Euclid on (x^(2t), Xi), tracking the Xi-cofactor.
-    Poly r_prev = Poly::monomial(1, two_t);
-    Poly r_cur = xi;
-    Poly u_prev = Poly::zero();
-    Poly u_cur = Poly::one();
-    // Stop at the first remainder with 2*deg(r) < 2t + rho.
-    while (!r_cur.is_zero() &&
-           2 * static_cast<unsigned>(r_cur.degree()) >= two_t + rho) {
-      const Poly::DivMod dm = Poly::divmod(field_, r_prev, r_cur);
-      Poly r_next = dm.remainder;
-      Poly u_next =
-          Poly::add(u_prev, Poly::mul(field_, dm.quotient, u_cur));
-      r_prev = std::move(r_cur);
-      r_cur = std::move(r_next);
-      u_prev = std::move(u_cur);
-      u_cur = std::move(u_next);
-    }
-    const Element u0 = u_cur.coeff(0);
-    if (u0 == 0) {
-      return {DecodeStatus::kFailure, 0, 0};
-    }
-    const Element u0_inv = field_.inv(u0);
-    lambda = Poly::scale(field_, u_cur, u0_inv);
-    omega = Poly::scale(field_, r_cur, u0_inv);
-    // Capability check: nu <= (2t - rho) / 2.
-    const unsigned nu = static_cast<unsigned>(std::max(0, lambda.degree()));
-    if (2 * nu + rho > two_t) {
-      return {DecodeStatus::kFailure, 0, 0};
-    }
-  }
-
-  // Combined locator Psi = Lambda * Gamma and its evaluator.
-  const Poly psi = Poly::mul(field_, lambda, gamma);
-  // Omega above solves Lambda*Xi = Omega mod x^2t; the combined evaluator is
-  // Psi*S mod x^2t, which equals Lambda*Gamma*S = Lambda*Xi mod x^2t. Use the
-  // direct product to stay correct also when xi was zero (pure erasures).
-  const Poly omega_c = Poly::mul(field_, psi, S).truncated(two_t);
-
-  const unsigned expected_roots = static_cast<unsigned>(std::max(0, psi.degree()));
-  if (expected_roots == 0) {
-    // Non-zero syndromes but empty locator: detected failure (can happen only
-    // without erasures, when Euclid degenerates).
-    if (!clean) return {DecodeStatus::kFailure, 0, 0};
-    return {DecodeStatus::kNoError, 0, 0};
-  }
-
-  // Chien search restricted to the n valid positions of the shortened code.
-  const Poly psi_deriv = psi.derivative();
-  unsigned roots_found = 0;
-  unsigned errors_corrected = 0;
-  unsigned erasures_corrected = 0;
-  std::vector<Element> corrected(word.begin(), word.end());
-  for (unsigned p = 0; p < params_.n; ++p) {
-    const Element X = locator_of_position(p);
-    const Element X_inv = field_.inv(X);
-    if (psi.eval(field_, X_inv) != 0) continue;
-    ++roots_found;
-    const Element denom = psi_deriv.eval(field_, X_inv);
-    if (denom == 0) {
-      return {DecodeStatus::kFailure, 0, 0};
-    }
-    // Forney with first consecutive root fcr: e = X^(1-fcr) * Omega(X^-1)/Psi'(X^-1).
-    const Element num = omega_c.eval(field_, X_inv);
-    Element magnitude = field_.div(num, denom);
-    magnitude = field_.mul(
-        magnitude, field_.pow(X, 1 - static_cast<long long>(params_.fcr)));
-    if (magnitude != 0) {
-      corrected[p] = GaloisField::add(corrected[p], magnitude);
-      if (erasure_set.count(p) != 0) {
-        ++erasures_corrected;
-      } else {
-        ++errors_corrected;
-      }
-    }
-  }
-  if (roots_found != expected_roots) {
-    // Locator has roots outside the valid position range (or repeated
-    // roots): the error pattern is uncorrectable and detected as such.
-    return {DecodeStatus::kFailure, 0, 0};
-  }
-
-  // Final verification: the corrected word must be a true codeword.
-  std::vector<Element> check;
-  if (!syndromes(corrected, check)) {
-    return {DecodeStatus::kFailure, 0, 0};
-  }
-  std::copy(corrected.begin(), corrected.end(), word.begin());
   if (errors_corrected == 0 && erasures_corrected == 0) {
     return {DecodeStatus::kNoError, 0, 0};
   }

@@ -13,25 +13,25 @@
 //   syndromes -> erasure locator -> modified syndromes -> Sugiyama
 //   (extended Euclid) key-equation solver -> Chien search -> Forney.
 //
-// Two implementations of that pipeline coexist:
-//  * the WORKSPACE fast path (`decode(ws, ...)`) — an allocation-free
-//    steady-state codec: all temporaries live in a reusable DecoderWorkspace,
-//    the encoder is a table-driven systematic LFSR, clean words exit straight
-//    from the syndrome pass, and for m <= 8 the inner loops read the field's
-//    dense multiplication table (no log/exp indirection, no zero branches).
-//    On top of that, for m <= 8 the three hot loops — LFSR encoding,
-//    syndrome computation, and Chien search — and the batch plane APIs run
-//    on the runtime-dispatched SIMD kernel layer (gf/simd_mul.h:
-//    PSHUFB/AVX2 split-nibble multiply with a portable SWAR fallback).
-//    When the selected backend is `scalar` (RSMEM_GF_BACKEND=scalar or a
-//    -DRSMEM_DISABLE_SIMD=ON build) every call runs the original scalar
-//    loops, which stay first-class as the A/B control. All backends are
-//    bit-identical: same outcomes, same corrected words, same thrown
-//    errors;
-//  * the LEGACY reference path (`encode_legacy`/`decode_legacy`) — the
-//    original Poly-based implementation, kept verbatim as the differential-
-//    testing baseline. Outputs are bit-identical between the two paths for
-//    every input, including beyond-capability mis-corrections.
+// There is one implementation of that pipeline, an allocation-free
+// steady-state codec: all decode temporaries live in a reusable
+// DecoderWorkspace, the encoder is a table-driven systematic LFSR, clean
+// words exit straight from the syndrome pass, and for m <= 8 the inner
+// loops read the field's dense multiplication table (no log/exp
+// indirection, no zero branches). On top of that, for m <= 8 the three hot
+// loops — LFSR encoding, syndrome computation, and Chien search — and the
+// batch plane APIs run on the runtime-dispatched SIMD kernel layer
+// (gf/simd_mul.h: GFNI affine or PSHUFB/AVX2 split-nibble multiply). When
+// the selected backend is `scalar` (RSMEM_GF_BACKEND=scalar, a host without
+// SSSE3, or a -DRSMEM_DISABLE_SIMD=ON build) every call runs the original
+// scalar loops instead. All backends are bit-identical: same outcomes, same
+// corrected words, same thrown errors.
+//
+// The independent implementations this codec is checked against — the
+// original Poly-based encoder/decoder and a Berlekamp-Massey decoder — are
+// test oracles (tests/oracles/, the rsmem_oracles library), not part of
+// this library. The codec is bit-identical to the Poly-based reference on
+// every input, including beyond-capability mis-corrections.
 //
 // Failure semantics matter to the duplex arbiter (paper Section 3):
 //  * kNoError   - the word is already a codeword; nothing changed.
@@ -90,9 +90,9 @@ struct CodeParams {
 
 class ReedSolomon;
 
-// Reusable scratch arena for the allocation-free codec fast path. Every
-// decode temporary (syndromes, erasure/error locators, Sugiyama remainder
-// and cofactor buffers, the corrected-word image) lives here and is
+// Reusable scratch arena for the allocation-free codec. Every decode
+// temporary (syndromes, erasure/error locators, Sugiyama remainder and
+// cofactor buffers, the corrected-word image) lives here and is
 // re-initialized — never reallocated — on each call, so steady-state
 // decodes perform ZERO heap allocations once the buffers have grown to the
 // largest code seen (or after reserve()).
@@ -160,26 +160,23 @@ class ReedSolomon {
 
   // Systematic encoding: codeword = [data (k symbols) | parity (n-k)].
   // Implemented as a table-driven LFSR over the precomputed generator
-  // coefficients; allocation-free, bit-identical to encode_legacy.
+  // coefficients; allocation-free (the encoder needs no workspace).
   // Throws std::invalid_argument on size mismatch or out-of-field symbols.
   void encode(std::span<const Element> data, std::span<Element> codeword) const;
   std::vector<Element> encode(std::span<const Element> data) const;
-  // Workspace overload for API symmetry with decode (the encoder itself
-  // needs no scratch).
-  void encode(DecoderWorkspace& ws, std::span<const Element> data,
-              std::span<Element> codeword) const;
 
-  // In-place errors-and-erasures decoding through a workspace: the
-  // allocation-free fast path. `erasure_positions` lists indices in [0, n)
-  // whose content is untrusted (located permanent faults); the stored value
-  // at those positions is irrelevant. Duplicate positions are rejected with
-  // std::invalid_argument. On kNoError/kCorrected the word is a valid
+  // In-place errors-and-erasures decoding through a caller-held workspace
+  // (allocation-free in steady state). `erasure_positions` lists indices in
+  // [0, n) whose content is untrusted (located permanent faults); the stored
+  // value at those positions is irrelevant. Duplicate positions are rejected
+  // with std::invalid_argument. On kNoError/kCorrected the word is a valid
   // codeword afterwards; on kFailure the word is left untouched.
   DecodeOutcome decode(DecoderWorkspace& ws, std::span<Element> word,
                        std::span<const unsigned> erasure_positions = {}) const;
 
-  // Convenience wrapper over the workspace path using a per-call scratch
-  // workspace. Prefer holding a DecoderWorkspace for hot loops.
+  // The same decode through a per-thread DecoderWorkspace owned by the
+  // codec layer (one per thread, shared across codes): allocation-free in
+  // steady state, and safe to call from any number of threads at once.
   DecodeOutcome decode(std::span<Element> word,
                        std::span<const unsigned> erasure_positions = {}) const;
 
@@ -195,15 +192,6 @@ class ReedSolomon {
   void decode_batch(DecoderWorkspace& ws, std::span<Element> word_plane,
                     std::span<DecodeOutcome> outcomes,
                     std::span<const std::uint8_t> erasure_flags = {}) const;
-
-  // Legacy Poly-based reference implementations, kept verbatim as the
-  // baseline for differential tests and BENCH_codec.json comparisons.
-  // Bit-identical to the fast path on every input.
-  void encode_legacy(std::span<const Element> data,
-                     std::span<Element> codeword) const;
-  DecodeOutcome decode_legacy(
-      std::span<Element> word,
-      std::span<const unsigned> erasure_positions = {}) const;
 
   // Extracts the k data symbols from a (corrected) codeword.
   std::vector<Element> extract_data(std::span<const Element> codeword) const;
@@ -254,7 +242,7 @@ class ReedSolomon {
   CodeParams params_;
   gf::GaloisField field_;
   gf::Poly generator_;
-  // Precomputed per-code tables for the fast path (all O(n) small):
+  // Precomputed per-code tables for the codec (all O(n) small):
   std::vector<Element> syndrome_root_;    // alpha^(fcr+j), j in [0, n-k)
   std::vector<Element> pos_locator_;      // X_p = alpha^(n-1-p)
   std::vector<Element> pos_locator_inv_;  // X_p^-1 (Chien search)

@@ -1,4 +1,4 @@
-#include "rs/berlekamp.h"
+#include "oracles/berlekamp.h"
 
 #include <algorithm>
 #include <set>
@@ -7,10 +7,14 @@
 
 #include "gf/poly.h"
 
-namespace rsmem::rs {
+namespace rsmem::oracles {
 
 using gf::GaloisField;
 using gf::Poly;
+using rs::DecodeOutcome;
+using rs::DecodeStatus;
+using rs::Element;
+using rs::ReedSolomon;
 
 DecodeOutcome BerlekampDecoder::decode(
     std::span<Element> word, std::span<const unsigned> erasure_positions) const {
@@ -156,4 +160,4 @@ DecodeOutcome BerlekampDecoder::decode(
   return {DecodeStatus::kCorrected, errors_corrected, erasures_corrected};
 }
 
-}  // namespace rsmem::rs
+}  // namespace rsmem::oracles

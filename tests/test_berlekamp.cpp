@@ -2,7 +2,7 @@
 // Bounded-distance decoding is unique, so the two independent
 // implementations must agree everywhere -- in-budget, at the boundary, and
 // in overload (same detected failures, same mis-corrections).
-#include "rs/berlekamp.h"
+#include "oracles/berlekamp.h"
 
 #include <gtest/gtest.h>
 
@@ -13,6 +13,8 @@
 
 namespace rsmem::rs {
 namespace {
+
+using oracles::BerlekampDecoder;
 
 std::vector<Element> random_data(const ReedSolomon& code, sim::Rng& rng) {
   std::vector<Element> data(code.k());

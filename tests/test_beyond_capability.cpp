@@ -13,8 +13,8 @@
 //        never gambles beyond t).
 //
 // The test sweeps every error pattern of weight 1..4 against reference
-// codewords and checks the decoder (fast path AND legacy path,
-// differentially) against that ground truth, pinning down the exact
+// codewords and checks the decoder (the codec AND the Poly-based reference
+// oracle in tests/oracles, differentially) against that ground truth, pinning down the exact
 // decode-failure vs mis-correction split the paper's P_ue analysis relies
 // on. Erasure boundary cases (erasures + 2*errors == n-k) ride along.
 #include <gtest/gtest.h>
@@ -23,6 +23,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "oracles/reference_codec.h"
 #include "rs/reed_solomon.h"
 
 namespace rsmem {
@@ -147,7 +148,8 @@ class WeightSweep : public BeyondCapabilityTest {
     std::array<Element, kN> fast = received;
     const rs::DecodeOutcome outcome = code_.decode(ws_, fast);
     std::array<Element, kN> legacy = received;
-    const rs::DecodeOutcome legacy_outcome = code_.decode_legacy(legacy);
+    const rs::DecodeOutcome legacy_outcome =
+        oracles::decode_legacy(code_, legacy);
 
     // Differential: the fast path and the legacy reference must agree
     // bit-for-bit on every input, in capability or beyond.

@@ -109,8 +109,8 @@ TEST(Cli, VersionNamesSelectedGfBackend) {
 TEST(Cli, VersionListsCompiledAndSupportedBackends) {
   std::string out;
   EXPECT_EQ(run({"version"}, &out), 0);
-  // The portable backends are always compiled in and always usable, so both
-  // inventory lines exist and contain at least them; the supported list must
+  // The scalar backend is always compiled in and always usable, so both
+  // inventory lines exist and contain at least it; the supported list must
   // include the selected backend and only name compiled backends.
   const auto line_after = [&](const std::string& tag) {
     const std::size_t at = out.find(tag);
@@ -123,10 +123,8 @@ TEST(Cli, VersionListsCompiledAndSupportedBackends) {
   };
   const std::string compiled = line_after("gf backends compiled:");
   const std::string supported = line_after("gf backends supported:");
-  for (const char* always : {"scalar", "swar"}) {
-    EXPECT_NE(compiled.find(always), std::string::npos) << compiled;
-    EXPECT_NE(supported.find(always), std::string::npos) << supported;
-  }
+  EXPECT_NE(compiled.find("scalar"), std::string::npos) << compiled;
+  EXPECT_NE(supported.find("scalar"), std::string::npos) << supported;
   EXPECT_NE(supported.find(rsmem::gf::simd::active().name),
             std::string::npos)
       << supported;

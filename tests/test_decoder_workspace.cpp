@@ -1,13 +1,16 @@
-// Tests for the allocation-free DecoderWorkspace fast path: differential
-// equivalence with the legacy Poly-based decoder over every fault regime
-// (including beyond-capability mis-corrections), workspace reuse hygiene,
-// the batch API, and Monte-Carlo campaign bit-identicality.
+// Tests for the allocation-free DecoderWorkspace codec: differential
+// equivalence with the Poly-based reference decoder (tests/oracles) over
+// every fault regime (including beyond-capability mis-corrections),
+// workspace reuse hygiene, the batch API, and Monte-Carlo campaign answers
+// pinned as known values.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
 #include <vector>
 
 #include "analysis/monte_carlo.h"
+#include "oracles/reference_codec.h"
 #include "rs/reed_solomon.h"
 #include "sim/rng.h"
 
@@ -46,15 +49,16 @@ void corrupt_symbol(std::vector<Element>& word, unsigned pos,
   word[pos] = nv;
 }
 
-// Runs one fault pattern through both decoder paths and asserts the outcome
-// AND the resulting word are identical.
+// Runs one fault pattern through the codec and the reference oracle and
+// asserts the outcome AND the resulting word are identical.
 void expect_paths_identical(const ReedSolomon& code, DecoderWorkspace& ws,
                             const std::vector<Element>& damaged,
                             const std::vector<unsigned>& erasures) {
   std::vector<Element> fast_word = damaged;
   std::vector<Element> legacy_word = damaged;
   const DecodeOutcome fast = code.decode(ws, fast_word, erasures);
-  const DecodeOutcome legacy = code.decode_legacy(legacy_word, erasures);
+  const DecodeOutcome legacy =
+      oracles::decode_legacy(code, legacy_word, erasures);
   ASSERT_EQ(fast.status, legacy.status);
   ASSERT_EQ(fast.errors_corrected, legacy.errors_corrected);
   ASSERT_EQ(fast.erasures_corrected, legacy.erasures_corrected);
@@ -63,8 +67,8 @@ void expect_paths_identical(const ReedSolomon& code, DecoderWorkspace& ws,
 
 // Differential sweep: for each code, randomized fault patterns spanning
 // every (er, re) regime from clean through at-capability to well beyond
-// capability, where the legacy decoder's real behaviour (failure detection
-// or silent mis-correction) must be reproduced bit for bit.
+// capability, where the reference decoder's real behaviour (failure
+// detection or silent mis-correction) must be reproduced bit for bit.
 TEST(DecoderWorkspace, DifferentialAgainstLegacyAllRegimes) {
   const CodeParams shapes[] = {
       {18, 16, 8, 1, 0},   // paper's t=1 code
@@ -175,7 +179,7 @@ TEST(DecoderWorkspace, DecodeAfterFailureIsClean) {
 }
 
 // Clean word with erasure hints still short-circuits to kNoError (matching
-// the legacy pipeline, which walks Chien/Forney to zero magnitudes).
+// the reference pipeline, which walks Chien/Forney to zero magnitudes).
 TEST(DecoderWorkspace, CleanWordWithErasuresIsNoError) {
   const ReedSolomon code{18, 16, 8};
   DecoderWorkspace ws;
@@ -296,10 +300,39 @@ TEST(DecoderWorkspace, ReserveMakesFirstDecodeAllocationStable) {
   EXPECT_EQ(code.extract_data(word), data);
 }
 
-// The campaign engine with the shared-codec fast path must reproduce the
-// legacy per-trial-codec campaign EXACTLY — same failure counts, same fault
-// tallies — for simplex and duplex, across thread counts.
-TEST(DecoderWorkspace, MonteCarloFastPathBitIdenticalToLegacy) {
+// Known campaign answers. Every MonteCarloResult counter of these
+// campaigns was pinned on the last build that still carried the Poly-based
+// per-trial codec route, where that route, the shared-codec per-trial
+// route and the batched-plane route all agreed exactly at 1 and 4 threads.
+// Each campaign must keep reproducing them at every thread count and batch
+// width. Fault-count means are pinned as exact integer sums over the 600
+// trials (the accumulator's own representation).
+struct PinnedCampaign {
+  const char* what;
+  std::size_t failures;
+  std::uint64_t no_output_failures;
+  std::uint64_t wrong_data_failures;
+  std::uint64_t scrub_failures;
+  std::uint64_t scrub_miscorrections;
+  double seu_sum;
+  double permanent_sum;
+};
+
+void expect_pinned(const analysis::MonteCarloResult& got,
+                   const PinnedCampaign& want, const std::string& where) {
+  const std::string at = std::string(want.what) + " " + where;
+  constexpr std::size_t kTrials = 600;
+  EXPECT_EQ(got.failure.trials, kTrials) << at;
+  EXPECT_EQ(got.failure.failures, want.failures) << at;
+  EXPECT_EQ(got.no_output_failures, want.no_output_failures) << at;
+  EXPECT_EQ(got.wrong_data_failures, want.wrong_data_failures) << at;
+  EXPECT_EQ(got.scrub_failures, want.scrub_failures) << at;
+  EXPECT_EQ(got.scrub_miscorrections, want.scrub_miscorrections) << at;
+  EXPECT_EQ(got.mean_seu_per_trial, want.seu_sum / kTrials) << at;
+  EXPECT_EQ(got.mean_permanent_per_trial, want.permanent_sum / kTrials) << at;
+}
+
+TEST(DecoderWorkspace, MonteCarloCampaignsMatchPinnedAnswers) {
   analysis::MonteCarloConfig mc;
   mc.trials = 600;
   mc.t_end_hours = 200.0;
@@ -315,32 +348,46 @@ TEST(DecoderWorkspace, MonteCarloFastPathBitIdenticalToLegacy) {
   duplex.code = {18, 16, 8, 1};
   duplex.rates = simplex.rates;
 
+  // Scrub decode-rewrite passes every 20 h: the scrub counters move.
+  memory::DuplexSystemConfig scrubbed = duplex;
+  scrubbed.scrub_policy = memory::ScrubPolicy::kPeriodic;
+  scrubbed.scrub_period_hours = 20.0;
+
+  // Rung 1 (retry with self-test) over slowly located stuck bits: every
+  // trial takes the per-trial read() route whatever batch_trials says.
+  memory::SimplexSystemConfig simplex_retry = simplex;
+  simplex_retry.rates.perm_rate_per_symbol_hour = 1e-4;
+  simplex_retry.rates.detection_latency_hours = 50.0;
+  simplex_retry.degradation.retry_with_detection = true;
+  memory::DuplexSystemConfig duplex_retry = duplex;
+  duplex_retry.rates = simplex_retry.rates;
+  duplex_retry.degradation = simplex_retry.degradation;
+
+  const PinnedCampaign kSimplex{"simplex", 579, 552, 27, 0, 0, 3441, 53};
+  const PinnedCampaign kDuplex{"duplex", 571, 505, 66, 0, 0, 6843, 97};
+  const PinnedCampaign kScrubbed{"scrubbed duplex", 82, 58, 24, 322, 125,
+                                 6843, 97};
+  const PinnedCampaign kSimplexRetry{"simplex rung 1", 580, 527, 53, 0, 0,
+                                     3413, 233};
+  const PinnedCampaign kDuplexRetry{"duplex rung 1", 565, 496, 69, 0, 0,
+                                    6844, 448};
+
   for (const unsigned threads : {1u, 4u}) {
-    mc.threads = threads;
-    mc.legacy_codec = true;
-    const analysis::MonteCarloResult s_legacy =
-        analysis::run_simplex_trials(simplex, mc);
-    const analysis::MonteCarloResult d_legacy =
-        analysis::run_duplex_trials(duplex, mc);
-    mc.legacy_codec = false;
-    const analysis::MonteCarloResult s_fast =
-        analysis::run_simplex_trials(simplex, mc);
-    const analysis::MonteCarloResult d_fast =
-        analysis::run_duplex_trials(duplex, mc);
-
-    EXPECT_EQ(s_fast.failure.failures, s_legacy.failure.failures);
-    EXPECT_EQ(s_fast.no_output_failures, s_legacy.no_output_failures);
-    EXPECT_EQ(s_fast.wrong_data_failures, s_legacy.wrong_data_failures);
-    EXPECT_EQ(s_fast.mean_seu_per_trial, s_legacy.mean_seu_per_trial);
-    EXPECT_EQ(s_fast.mean_permanent_per_trial,
-              s_legacy.mean_permanent_per_trial);
-
-    EXPECT_EQ(d_fast.failure.failures, d_legacy.failure.failures);
-    EXPECT_EQ(d_fast.no_output_failures, d_legacy.no_output_failures);
-    EXPECT_EQ(d_fast.wrong_data_failures, d_legacy.wrong_data_failures);
-    EXPECT_EQ(d_fast.mean_seu_per_trial, d_legacy.mean_seu_per_trial);
-    EXPECT_EQ(d_fast.mean_permanent_per_trial,
-              d_legacy.mean_permanent_per_trial);
+    for (const std::size_t batch : {std::size_t{0}, std::size_t{1}}) {
+      mc.threads = threads;
+      mc.batch_trials = batch;
+      const std::string where = "threads=" + std::to_string(threads) +
+                                " batch_trials=" + std::to_string(batch);
+      expect_pinned(analysis::run_simplex_trials(simplex, mc), kSimplex,
+                    where);
+      expect_pinned(analysis::run_duplex_trials(duplex, mc), kDuplex, where);
+      expect_pinned(analysis::run_duplex_trials(scrubbed, mc), kScrubbed,
+                    where);
+      expect_pinned(analysis::run_simplex_trials(simplex_retry, mc),
+                    kSimplexRetry, where);
+      expect_pinned(analysis::run_duplex_trials(duplex_retry, mc),
+                    kDuplexRetry, where);
+    }
   }
 }
 

@@ -1,7 +1,7 @@
 // Differential suite for the SIMD GF(2^m) kernel layer (gf/simd_mul.h).
 //
-// The kernel layer's contract is BIT-IDENTITY: every backend (swar, ssse3,
-// avx2) must produce exactly the bytes of the scalar reference, and the
+// The kernel layer's contract is BIT-IDENTITY: every backend (ssse3, avx2,
+// gfni) must produce exactly the bytes of the scalar reference, and the
 // codec must produce exactly the same outcomes and corrected words whether
 // it runs kernels or its original scalar loops. This binary pins that
 // contract at three levels:
@@ -11,7 +11,8 @@
 //                       each backend's vector width, unaligned buffers;
 //   2. codec level    — exhaustive weight-1..4 error/erasure patterns on
 //                       small codes and randomized RS(36,16) noise, decoded
-//                       under every backend in turn, against decode_legacy;
+//                       under every backend in turn, against the Poly-based
+//                       reference decoder (tests/oracles);
 //   3. batch level    — encode_batch/decode_batch planes at counts that are
 //                       not a multiple of any vector width, plus misaligned
 //                       caller planes, against the forced-scalar control.
@@ -33,12 +34,14 @@
 #include "gf/aligned.h"
 #include "gf/galois_field.h"
 #include "gf/simd_mul.h"
+#include "oracles/reference_codec.h"
 #include "rs/reed_solomon.h"
 
 namespace {
 
 using rsmem::gf::Element;
 using rsmem::gf::GaloisField;
+using rsmem::oracles::decode_legacy;
 using rsmem::rs::CodeParams;
 using rsmem::rs::DecodeOutcome;
 using rsmem::rs::DecoderWorkspace;
@@ -68,8 +71,6 @@ const simd::Kernels* kernels_of(simd::Backend b) {
   switch (b) {
     case simd::Backend::kScalar:
       return simd::scalar_kernels();
-    case simd::Backend::kSwar:
-      return simd::swar_kernels();
     case simd::Backend::kSsse3:
       return simd::ssse3_kernels();
     case simd::Backend::kAvx2:
@@ -80,16 +81,14 @@ const simd::Kernels* kernels_of(simd::Backend b) {
   return nullptr;
 }
 
-// Lengths that straddle every backend's step size (8, 16, 32) plus the
+// Lengths that straddle every backend's step size (16, 32, 64) plus the
 // scalar tails on either side of each boundary.
 const std::size_t kLengths[] = {0,  1,  3,  7,  8,  9,  15, 16, 17,
                                 31, 32, 33, 63, 64, 65, 100};
 
 TEST(SimdKernels, BaselineBackendsAlwaysSupported) {
   EXPECT_TRUE(simd::backend_supported(simd::Backend::kScalar));
-  EXPECT_TRUE(simd::backend_supported(simd::Backend::kSwar));
   EXPECT_NE(kernels_of(simd::Backend::kScalar), nullptr);
-  EXPECT_NE(kernels_of(simd::Backend::kSwar), nullptr);
   // The process selection is one of the supported backends.
   EXPECT_TRUE(simd::backend_supported(simd::active().backend));
   EXPECT_STREQ(simd::to_string(simd::active().backend), simd::active().name);
@@ -102,8 +101,8 @@ TEST(SimdKernels, ForceBackendRejectsUnsupported) {
     if (simd::backend_supported(b)) continue;
     EXPECT_FALSE(simd::force_backend(b));
   }
-  ASSERT_TRUE(simd::force_backend(simd::Backend::kSwar));
-  EXPECT_EQ(simd::active().backend, simd::Backend::kSwar);
+  ASSERT_TRUE(simd::force_backend(simd::Backend::kScalar));
+  EXPECT_EQ(simd::active().backend, simd::Backend::kScalar);
 }
 
 // The scalar kernel IS the reference, so it gets its own independent check:
@@ -263,7 +262,7 @@ TEST(HotPathAlignment, TablesAndPlanesAreCacheLineAligned) {
   EXPECT_EQ(rsmem::gf::aligned_stride(65), 128u);
 }
 
-// ---- codec-level differential: every backend vs decode_legacy -----------
+// ---- codec-level differential: every backend vs the reference decoder ---
 
 void expect_same_decode(const ReedSolomon& code, DecoderWorkspace& ws,
                         const std::vector<Element>& noisy,
@@ -271,7 +270,7 @@ void expect_same_decode(const ReedSolomon& code, DecoderWorkspace& ws,
                         const char* tag) {
   std::vector<Element> legacy_word = noisy;
   std::vector<Element> fast_word = noisy;
-  const DecodeOutcome legacy = code.decode_legacy(legacy_word, erasures);
+  const DecodeOutcome legacy = decode_legacy(code, legacy_word, erasures);
   const DecodeOutcome fast = code.decode(ws, fast_word, erasures);
   ASSERT_EQ(fast.status, legacy.status) << tag;
   ASSERT_EQ(fast.errors_corrected, legacy.errors_corrected) << tag;
@@ -492,7 +491,8 @@ TEST(BatchDifferential, MisalignedCallerPlanes) {
 // positions (the located-permanent-fault shape the memory systems feed the
 // batch decoder), at off-width counts, with erasure loads sweeping from
 // zero through full capability to beyond-capability — each word checked
-// against decode_legacy with the equivalent ascending position list.
+// against the reference decoder with the equivalent ascending position
+// list.
 TEST(BatchDifferential, ErasureFirstPlanesMatchLegacyOffWidths) {
   BackendGuard guard;
   const ReedSolomon code(36, 16, 8);
@@ -530,7 +530,7 @@ TEST(BatchDifferential, ErasureFirstPlanesMatchLegacyOffWidths) {
     std::vector<DecodeOutcome> legacy(count);
     for (std::size_t w = 0; w < count; ++w) {
       const std::span<Element> word{legacy_plane.data() + w * n, n};
-      legacy[w] = code.decode_legacy(word, erasures[w]);
+      legacy[w] = decode_legacy(code, word, erasures[w]);
     }
     for (const simd::Backend b : supported_backends()) {
       ASSERT_TRUE(simd::force_backend(b));

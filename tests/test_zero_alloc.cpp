@@ -1,6 +1,7 @@
-// Verifies the headline guarantee of the codec fast path: once a
-// DecoderWorkspace has been reserved (or has seen one decode of a given
-// code), further encode/decode/batch calls perform ZERO heap allocations.
+// Verifies the headline guarantee of the codec: once a DecoderWorkspace
+// has been reserved (or has seen one decode of a given code), further
+// encode/decode/batch calls perform ZERO heap allocations — including the
+// workspace-free decode, which runs on the codec's per-thread workspace.
 //
 // Implemented with counting global operator new/delete overrides, which is
 // why this lives in its own test binary: the overrides are process-wide and
@@ -88,11 +89,16 @@ TEST_P(ZeroAlloc, SteadyStateDecodeDoesNotAllocate) {
   }
   std::vector<Element> scratch(code.n());
 
-  // Warm-up pass: first decode of each shape may still grow buffers.
+  // Warm-up pass: first decode of each shape may still grow buffers (the
+  // caller's workspace and the codec's own per-thread one).
   scratch = error_word;
   code.decode(ws, scratch, {});
   scratch = erased_word;
   code.decode(ws, scratch, erasures);
+  scratch = error_word;
+  code.decode(scratch);
+  scratch = erased_word;
+  code.decode(scratch, erasures);
 
   const std::uint64_t count = allocations_in([&] {
     for (int rep = 0; rep < 10; ++rep) {
@@ -102,7 +108,14 @@ TEST_P(ZeroAlloc, SteadyStateDecodeDoesNotAllocate) {
       code.decode(ws, scratch, {});                      // full pipeline
       std::copy(erased_word.begin(), erased_word.end(), scratch.begin());
       code.decode(ws, scratch, erasures);                // erasure pipeline
-      code.encode(ws, data, scratch);                    // LFSR encoder
+      // The workspace-free overload runs on the per-thread workspace.
+      std::copy(clean.begin(), clean.end(), scratch.begin());
+      code.decode(scratch);
+      std::copy(error_word.begin(), error_word.end(), scratch.begin());
+      code.decode(scratch);
+      std::copy(erased_word.begin(), erased_word.end(), scratch.begin());
+      code.decode(scratch, erasures);
+      code.encode(data, scratch);                        // LFSR encoder
     }
   });
   EXPECT_EQ(count, 0u) << "steady-state codec calls must not hit the heap";

@@ -26,13 +26,13 @@
 #
 # Extra arguments are forwarded to bench_codec_throughput verbatim.
 # `--backend-sweep` makes it register the RS(36,16) x4096 encode/decode
-# plane cases once per backend the host CPU supports (scalar/swar at
-# minimum, ssse3/avx2/gfni where available), so the BENCH_codec.json
-# snapshot records the whole backend ladder next to the host's cpu_flags
-# context. After the snapshot passes the release guard, bench_mc_vs_markov
-# merges its campaign-throughput numbers (thread scaling, codec path,
-# batched-vs-per-word planes, each tagged with the selected gf backend)
-# into BENCH_codec.json as a top-level `mc_campaign` object.
+# plane cases once per backend the host CPU supports (scalar at minimum,
+# ssse3/avx2/gfni where available), so the BENCH_codec.json snapshot
+# records the whole backend ladder next to the host's cpu_flags context.
+# After the snapshot passes the release guard, bench_mc_vs_markov merges
+# its campaign-throughput numbers (thread scaling, batched-vs-per-word
+# planes, each tagged with the selected gf backend) into BENCH_codec.json
+# as a top-level `mc_campaign` object.
 set -eu
 
 ROOT=$(CDPATH= cd -- "$(dirname -- "$0")/.." && pwd)

@@ -60,7 +60,7 @@ run_asan() {
     # ONCE PER SUPPORTED BACKEND with RSMEM_GF_BACKEND pinned, so the
     # process-wide dispatch path itself (env parse, CPUID gate, first-use
     # selection) runs under ASan for every backend this host can execute —
-    # scalar and swar at minimum, the vector backends where the CPU allows.
+    # scalar at minimum, the vector backends where the CPU allows.
     ASAN_OPTIONS="abort_on_error=1:detect_leaks=1" \
         ctest --test-dir "$ROOT/build-asan" -L codec --output-on-failure
     backends=$("$ROOT/build-asan/tools/rsmem_cli" version \
