@@ -1,7 +1,6 @@
 #include "memory/arbiter.h"
 
 #include <algorithm>
-#include <set>
 #include <stdexcept>
 
 namespace rsmem::memory {
@@ -17,6 +16,8 @@ void Arbiter::mask_erasures(std::span<Element> word1, std::span<Element> word2,
   }
   // Step 1: erasure recovery. Single-sided erasures are masked from the
   // healthy module; double-sided ones stay erasures (for both decoders).
+  result.common_erasures.clear();
+  result.masked_erasures = 0;
   for (unsigned p = 0; p < n; ++p) {
     const bool in1 = flags1[p] != 0;
     const bool in2 = flags2[p] != 0;
@@ -43,6 +44,7 @@ void Arbiter::select(std::span<const Element> word1,
   const bool ok2 = result.outcome2.ok();
 
   // Step 3: comparison / selection.
+  result.output.clear();
   if (!ok1 && !ok2) {
     result.decision = ArbiterDecision::kNoOutput;
     return;
@@ -88,6 +90,18 @@ void Arbiter::select(std::span<const Element> word1,
   result.decision = ArbiterDecision::kNoOutput;
 }
 
+void Arbiter::arbitrate_planes(std::span<Element> word1,
+                               std::span<Element> word2,
+                               std::span<std::uint8_t> flags1,
+                               std::span<std::uint8_t> flags2,
+                               ArbiterResult& result) const {
+  mask_erasures(word1, word2, flags1, flags2, result);
+  // Step 2: independent decoding with the common erasures.
+  result.outcome1 = code_->decode(word1, result.common_erasures);
+  result.outcome2 = code_->decode(word2, result.common_erasures);
+  select(word1, word2, result);
+}
+
 ArbiterResult Arbiter::arbitrate(std::span<const Element> word1,
                                  std::span<const Element> word2,
                                  std::span<const unsigned> erasures1,
@@ -96,30 +110,24 @@ ArbiterResult Arbiter::arbitrate(std::span<const Element> word1,
   if (word1.size() != n || word2.size() != n) {
     throw std::invalid_argument("Arbiter::arbitrate: word size != n");
   }
-  const std::set<unsigned> set1(erasures1.begin(), erasures1.end());
-  const std::set<unsigned> set2(erasures2.begin(), erasures2.end());
-  if (!set1.empty() && *set1.rbegin() >= n) {
-    throw std::invalid_argument("Arbiter::arbitrate: erasure1 out of range");
-  }
-  if (!set2.empty() && *set2.rbegin() >= n) {
-    throw std::invalid_argument("Arbiter::arbitrate: erasure2 out of range");
-  }
-
-  ArbiterResult result;
-  std::vector<Element> w1(word1.begin(), word1.end());
-  std::vector<Element> w2(word2.begin(), word2.end());
   std::vector<std::uint8_t> f1(n, 0);
   std::vector<std::uint8_t> f2(n, 0);
-  for (const unsigned p : set1) f1[p] = 1;
-  for (const unsigned p : set2) f2[p] = 1;
-
-  mask_erasures(w1, w2, f1, f2, result);
-
-  // Step 2: independent decoding with the common erasures.
-  result.outcome1 = code_->decode(w1, result.common_erasures);
-  result.outcome2 = code_->decode(w2, result.common_erasures);
-
-  select(w1, w2, result);
+  for (const unsigned p : erasures1) {
+    if (p >= n) {
+      throw std::invalid_argument("Arbiter::arbitrate: erasure1 out of range");
+    }
+    f1[p] = 1;
+  }
+  for (const unsigned p : erasures2) {
+    if (p >= n) {
+      throw std::invalid_argument("Arbiter::arbitrate: erasure2 out of range");
+    }
+    f2[p] = 1;
+  }
+  std::vector<Element> w1(word1.begin(), word1.end());
+  std::vector<Element> w2(word2.begin(), word2.end());
+  ArbiterResult result;
+  arbitrate_planes(w1, w2, f1, f2, result);
   return result;
 }
 

@@ -20,6 +20,7 @@
 #ifndef RSMEM_MEMORY_ARBITER_H
 #define RSMEM_MEMORY_ARBITER_H
 
+#include <cstdint>
 #include <span>
 #include <vector>
 
@@ -70,31 +71,44 @@ class Arbiter {
       : code_(&code), policy_(policy) {}
 
   // `word1`/`word2` are the raw module reads (length n);
-  // `erasures1`/`erasures2` the modules' detected-fault symbol positions.
+  // `erasures1`/`erasures2` the modules' detected-fault symbol positions
+  // (duplicates allowed; a position >= n throws std::invalid_argument).
+  // Copies the words and marks the lists into flag planes, then runs
+  // arbitrate_planes on them.
   ArbiterResult arbitrate(std::span<const Element> word1,
                           std::span<const Element> word2,
                           std::span<const unsigned> erasures1,
                           std::span<const unsigned> erasures2) const;
 
+  // The whole procedure in place on caller-owned planes (the layout
+  // MemoryModule::read_into_plane emits): mask_erasures, the two decodes,
+  // then select. Every field of `result` is overwritten; its vectors keep
+  // their capacity, so a caller that reuses one result (and planes) across
+  // calls arbitrates without heap allocation in steady state.
+  void arbitrate_planes(std::span<Element> word1, std::span<Element> word2,
+                        std::span<std::uint8_t> flags1,
+                        std::span<std::uint8_t> flags2,
+                        ArbiterResult& result) const;
+
   // Split surface for batched campaigns: the decision procedure with step 2
   // (the two decodes) lifted out, so a caller can gather many masked word
-  // pairs into one rs::decode_batch plane. arbitrate() itself is built on
-  // these; `mask_erasures` then external decodes then `select` is
-  // bit-identical to one arbitrate() call.
+  // pairs into one rs::decode_batch plane. `mask_erasures` then external
+  // decodes then `select` is bit-identical to one arbitrate() call.
   //
-  // Step 1 on erasure-flag planes (the layout MemoryModule::read_into_plane
-  // emits): masks single-sided erasures in place, rewrites BOTH flag spans
-  // to the common-erasure indicator (erased in both modules — exactly the
-  // erasure_flags decode_batch must see for each word of the pair), and
-  // fills result.common_erasures / result.masked_erasures.
+  // Step 1 on erasure-flag planes: masks single-sided erasures in place,
+  // rewrites BOTH flag spans to the common-erasure indicator (erased in
+  // both modules — exactly the erasure_flags decode_batch must see for each
+  // word of the pair), and refills result.common_erasures /
+  // result.masked_erasures.
   void mask_erasures(std::span<Element> word1, std::span<Element> word2,
                      std::span<std::uint8_t> flags1,
                      std::span<std::uint8_t> flags2,
                      ArbiterResult& result) const;
 
   // Step 3: flag-based selection. Requires result.outcome1/outcome2 already
-  // set (by arbitrate's own decodes or by decode_batch) and `word1`/`word2`
-  // to hold the post-decode words; fills flags, decision and output.
+  // set (by arbitrate_planes' own decodes or by decode_batch) and
+  // `word1`/`word2` to hold the post-decode words; fills flags, decision
+  // and output (cleared when there is no output).
   void select(std::span<const Element> word1, std::span<const Element> word2,
               ArbiterResult& result) const;
 

@@ -4,6 +4,12 @@
 // hit each copy; the arbiter performs erasure masking, dual decoding and
 // flag-based selection on every read and scrub. This is the executable
 // counterpart of the 6-tuple Markov chain in src/models/duplex_model.h.
+//
+// Scrub replay: a scrub pass that finds both modules at the generations
+// (MemoryModule::generation) the last arbitrated pass read, under an inert
+// degradation policy (the supports_batched_read gate), repeats that pass's
+// verdict and counters without reading, decoding or rewriting; it counts
+// in SystemStats::scrubs_replayed. Outputs are identical either way.
 #ifndef RSMEM_MEMORY_DUPLEX_SYSTEM_H
 #define RSMEM_MEMORY_DUPLEX_SYSTEM_H
 
@@ -127,15 +133,15 @@ class DuplexSystem {
   void commit_store();
   void scrub();
   void schedule_next_scrub();
-  // Full arbitration over the current module contents (fills the scratch
-  // buffers). With an active demotion, decodes the survivor alone instead
-  // and synthesizes an equivalent ArbiterResult.
-  ArbiterResult arbitrate_current() const;
+  // Full arbitration over the current module contents, on the scratch
+  // planes, into arbitration_ (returned). With an active demotion, decodes
+  // the survivor alone instead and synthesizes an equivalent ArbiterResult.
+  const ArbiterResult& arbitrate_current() const;
   // arbitrate_current plus the degradation chain: rung-1 retry with
   // self-test, rung-3 dead-module demotion, rung-4 retire bookkeeping.
-  ArbiterResult arbitrate_with_recovery() const;
-  // Simplex decode of the surviving module, packaged as an ArbiterResult.
-  ArbiterResult survivor_arbiter_result() const;
+  const ArbiterResult& arbitrate_with_recovery() const;
+  // Simplex decode of the surviving module, packaged into arbitration_.
+  const ArbiterResult& survivor_arbiter_result() const;
   // Simplex decode of one module with its own erasure info (demotion probe).
   bool probe_decode(const MemoryModule& module, std::vector<Element>& word,
                     std::vector<unsigned>& erasures) const;
@@ -157,12 +163,27 @@ class DuplexSystem {
   std::vector<Element> stored_codeword_;
   bool stored_ = false;
   SystemStats stats_;
-  // Reused module-read buffers for scrub/read passes (mutable: read() is
-  // logically const). The arbiter takes spans, so these feed it directly.
+  // Reused module-read planes and arbitration result for scrub/read passes
+  // (mutable: read() is logically const). Sized once at construction, so
+  // steady-state arbitration never touches the heap.
   mutable std::vector<Element> word1_scratch_;
   mutable std::vector<Element> word2_scratch_;
+  mutable std::vector<std::uint8_t> flags1_scratch_;
+  mutable std::vector<std::uint8_t> flags2_scratch_;
   mutable std::vector<unsigned> erasures1_scratch_;
   mutable std::vector<unsigned> erasures2_scratch_;
+  mutable ArbiterResult arbitration_;
+  // Scrub replay (see scrub()): the verdict of the last arbitrated scrub
+  // pass and the module generations that pass read.
+  enum class ScrubVerdict : std::uint8_t {
+    kNone,  // no pass arbitrated yet
+    kNoOutput,
+    kOk,
+    kMiscorrected,  // output written, but it differs from the stored word
+  };
+  ScrubVerdict last_scrub_ = ScrubVerdict::kNone;
+  std::uint64_t last_scrub_gen1_ = 0;
+  std::uint64_t last_scrub_gen2_ = 0;
   bool scrub_suspended_ = false;
   mutable DegradationCounters degradation_;
   mutable unsigned consecutive_failures_ = 0;

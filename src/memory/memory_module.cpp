@@ -34,7 +34,9 @@ void MemoryModule::write_symbol(unsigned symbol, Element value) {
   if (value >> m_) {
     throw std::invalid_argument("MemoryModule::write_symbol: value too wide");
   }
+  if (value_[symbol] == value) return;
   value_[symbol] = value;
+  ++generation_;
 }
 
 std::vector<Element> MemoryModule::read() const {
@@ -73,6 +75,7 @@ Element MemoryModule::read_symbol(unsigned symbol) const {
 void MemoryModule::flip_bit(unsigned symbol, unsigned bit) {
   check_position(symbol, bit);
   value_[symbol] ^= (Element{1} << bit);
+  ++generation_;
 }
 
 void MemoryModule::stick_bit(unsigned symbol, unsigned bit, bool level,
@@ -86,10 +89,12 @@ void MemoryModule::stick_bit(unsigned symbol, unsigned bit, bool level,
     stuck_level_[symbol] &= ~mask;
   }
   if (detected) detected_mask_[symbol] |= mask;
+  ++generation_;
 }
 
 void MemoryModule::detect_all_faults() {
   for (unsigned i = 0; i < n_; ++i) detected_mask_[i] = stuck_mask_[i];
+  ++generation_;
 }
 
 bool MemoryModule::symbol_has_stuck_bit(unsigned symbol) const {

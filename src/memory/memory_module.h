@@ -31,6 +31,8 @@ class MemoryModule {
 
   // Writes symbol values. Stuck bits keep their stuck level regardless of
   // the written value. Throws std::invalid_argument on size/value mismatch.
+  // A write that leaves a symbol's stored value unchanged is not a state
+  // change (the generation stays put).
   void write(std::span<const Element> symbols);
   void write_symbol(unsigned symbol, Element value);
 
@@ -72,6 +74,12 @@ class MemoryModule {
 
   unsigned stuck_bit_count() const;
 
+  // Advances on every state change: flip_bit, stick_bit, detect_all_faults
+  // and any write_symbol that changes a stored value. An owner that kept
+  // the generation of its last read can tell, without re-reading, that the
+  // module still reads back exactly the same values and erasure flags.
+  std::uint64_t generation() const { return generation_; }
+
  private:
   void check_position(unsigned symbol, unsigned bit) const;
 
@@ -81,6 +89,7 @@ class MemoryModule {
   std::vector<Element> stuck_mask_;      // 1 = cell is stuck
   std::vector<Element> stuck_level_;     // stuck-at level where mask is 1
   std::vector<Element> detected_mask_;   // subset of stuck_mask_ located
+  std::uint64_t generation_ = 0;
 };
 
 }  // namespace rsmem::memory

@@ -47,6 +47,10 @@ struct SystemStats {
   unsigned scrub_failures = 0;        // scrub found an unrecoverable word
   unsigned scrub_miscorrections = 0;  // scrub silently rewrote wrong data
   unsigned scrubs_skipped = 0;        // suspended (stall window) or retired
+  // Attempted scrubs that found the modules unchanged since the last
+  // arbitrated pass and replayed its verdict without decoding (duplex only;
+  // see DuplexSystem).
+  unsigned scrubs_replayed = 0;
 };
 
 struct SimplexSystemConfig {

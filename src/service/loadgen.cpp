@@ -23,7 +23,7 @@ struct Sample {
   double latency_ms = 0.0;
   CacheSource source = CacheSource::kNone;
   bool ok = false;
-  bool rejected = false;  // typed kOverloaded admission rejection
+  bool rejected = false;  // typed kOverloaded / kBrownout shedding
 };
 
 double percentile(std::vector<double>& sorted, double q) {
@@ -40,7 +40,10 @@ Sample classify(const Response& response, double latency_ms) {
   if (response.status.is_ok()) {
     sample.ok = true;
     sample.source = response.cache;
-  } else if (response.status.code() == core::StatusCode::kOverloaded) {
+  } else if (response.status.code() == core::StatusCode::kOverloaded ||
+             response.status.code() == core::StatusCode::kBrownout) {
+    // Both are the server's typed relief valves: admission control, and
+    // brown-out shedding once the queue passes its threshold.
     sample.rejected = true;
   }
   return sample;
@@ -339,7 +342,8 @@ std::string format_loadgen_report(const LoadgenConfig& config,
                  std::to_string(config.requests_per_client)});
   table.add_row({"distinct keys", std::to_string(config.distinct)});
   table.add_row({"completed", std::to_string(report.requests)});
-  table.add_row({"rejected (overload)", std::to_string(report.rejected)});
+  table.add_row({"rejected (overload/brown-out)",
+                 std::to_string(report.rejected)});
   table.add_row({"errors", std::to_string(report.errors)});
   table.add_row({"elapsed [s]",
                  analysis::format_fixed(report.elapsed_seconds, 3)});

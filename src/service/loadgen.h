@@ -15,8 +15,8 @@
 //     0 — plus a receiver thread that drains completions; the sender
 //     NEVER waits for a response, so queueing delay is measured instead
 //     of hidden (the coordinated-omission-free number). Typed kOverloaded
-//     rejections are the expected relief valve under deliberate overload
-//     and are counted separately from errors.
+//     and kBrownout refusals are the expected relief valves under
+//     deliberate overload and are counted as rejections, not errors.
 // The report separates latency by cache source; the hot-query speedup is
 // miss_mean / hit_mean. With self_host the loadgen spins up an in-process
 // Server on a private Unix socket — the full wire protocol, no external
@@ -50,7 +50,7 @@ struct LoadgenConfig {
 
 struct LoadgenReport {
   std::size_t requests = 0;        // completed OK
-  std::size_t rejected = 0;        // typed kOverloaded (admission control)
+  std::size_t rejected = 0;        // typed kOverloaded / kBrownout shedding
   std::size_t errors = 0;          // transport or other non-ok responses
   double elapsed_seconds = 0.0;
   double offered_rps = 0.0;        // requests actually sent per second

@@ -363,6 +363,25 @@ TEST(DecoderWorkspace, MonteCarloCampaignsMatchPinnedAnswers) {
   duplex_retry.rates = simplex_retry.rates;
   duplex_retry.degradation = simplex_retry.degradation;
 
+  // The scrub-replay regime: the mc_duplex_scrub benchmark's rates and
+  // exponential scrubbing at Tsc = 0.5 h over 48 h, where most passes find
+  // both modules unchanged since the previous pass. Pinned before scrub
+  // replay existed, so a replayed pass must count exactly as a decoded one
+  // would. Variants: deferred detection (detect_all_faults events land
+  // between passes) and 3-bit multi-bit upsets.
+  analysis::MonteCarloConfig mc48 = mc;
+  mc48.t_end_hours = 48.0;
+  memory::DuplexSystemConfig replay = duplex;
+  replay.rates.seu_rate_per_bit_hour = 0.02 / 24.0;
+  replay.rates.perm_rate_per_symbol_hour = 0.05 / 24.0;
+  replay.scrub_policy = memory::ScrubPolicy::kExponential;
+  replay.scrub_period_hours = 0.5;
+  memory::DuplexSystemConfig replay_latent = replay;
+  replay_latent.rates.detection_latency_hours = 2.0;
+  memory::DuplexSystemConfig replay_mbu = replay;
+  replay_mbu.rates.mbu_probability = 0.25;
+  replay_mbu.rates.mbu_span_bits = 3;
+
   const PinnedCampaign kSimplex{"simplex", 579, 552, 27, 0, 0, 3441, 53};
   const PinnedCampaign kDuplex{"duplex", 571, 505, 66, 0, 0, 6843, 97};
   const PinnedCampaign kScrubbed{"scrubbed duplex", 82, 58, 24, 322, 125,
@@ -371,6 +390,12 @@ TEST(DecoderWorkspace, MonteCarloCampaignsMatchPinnedAnswers) {
                                      3413, 233};
   const PinnedCampaign kDuplexRetry{"duplex rung 1", 565, 496, 69, 0, 0,
                                     6844, 448};
+  const PinnedCampaign kReplay{"scrub replay", 41, 35, 6, 760, 168, 6853,
+                               2137};
+  const PinnedCampaign kReplayLatent{"scrub replay, detection latency", 42,
+                                     36, 6, 686, 194, 6853, 2137};
+  const PinnedCampaign kReplayMbu{"scrub replay, MBU", 54, 48, 6, 1351, 196,
+                                  6979, 2136};
 
   for (const unsigned threads : {1u, 4u}) {
     for (const std::size_t batch : {std::size_t{0}, std::size_t{1}}) {
@@ -387,6 +412,13 @@ TEST(DecoderWorkspace, MonteCarloCampaignsMatchPinnedAnswers) {
                     kSimplexRetry, where);
       expect_pinned(analysis::run_duplex_trials(duplex_retry, mc),
                     kDuplexRetry, where);
+      mc48.threads = threads;
+      mc48.batch_trials = batch;
+      expect_pinned(analysis::run_duplex_trials(replay, mc48), kReplay, where);
+      expect_pinned(analysis::run_duplex_trials(replay_latent, mc48),
+                    kReplayLatent, where);
+      expect_pinned(analysis::run_duplex_trials(replay_mbu, mc48), kReplayMbu,
+                    where);
     }
   }
 }

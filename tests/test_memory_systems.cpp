@@ -1,10 +1,13 @@
 // Integration tests for the functional simplex/duplex memory systems.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <stdexcept>
+#include <vector>
 
 #include "core/units.h"
 #include "memory/duplex_system.h"
+#include "memory/memory_module.h"
 #include "memory/simplex_system.h"
 
 namespace rsmem::memory {
@@ -200,6 +203,97 @@ TEST(DuplexSystem, DeterministicGivenSeed) {
                       pairs.e1, pairs.e2, pairs.ec};
   };
   EXPECT_EQ(run(), run());
+}
+
+TEST(MemoryModule, GenerationMovesOnEveryStateChange) {
+  MemoryModule mod{4, 8};
+  std::uint64_t gen = mod.generation();
+  const auto moved = [&] {
+    const bool changed = mod.generation() != gen;
+    gen = mod.generation();
+    return changed;
+  };
+  mod.write(std::vector<Element>{1, 2, 3, 4});
+  EXPECT_TRUE(moved());
+  mod.write(std::vector<Element>{1, 2, 3, 4});  // same values: no change
+  EXPECT_FALSE(moved());
+  mod.write_symbol(2, 3);
+  EXPECT_FALSE(moved());
+  mod.write_symbol(2, 9);
+  EXPECT_TRUE(moved());
+  mod.flip_bit(0, 5);
+  EXPECT_TRUE(moved());
+  mod.stick_bit(1, 0, /*level=*/true, /*detected=*/false);
+  EXPECT_TRUE(moved());
+  mod.detect_all_faults();
+  EXPECT_TRUE(moved());
+  // Reads and queries leave it alone.
+  (void)mod.read();
+  (void)mod.detected_erasures();
+  EXPECT_FALSE(moved());
+}
+
+// Scripted duplex scrubbing: periodic passes every hour, no Poisson faults,
+// so every replay count below follows from the script alone.
+DuplexSystemConfig scripted_scrub_config() {
+  DuplexSystemConfig cfg;
+  cfg.scrub_policy = ScrubPolicy::kPeriodic;
+  cfg.scrub_period_hours = 1.0;
+  return cfg;
+}
+
+TEST(DuplexScrubReplay, CleanWordReplaysEveryPassButTheFirst) {
+  DuplexSystem sys{scripted_scrub_config()};
+  sys.store(test_data());
+  sys.advance_to(10.5);
+  EXPECT_EQ(sys.stats().scrubs_attempted, 10u);
+  EXPECT_EQ(sys.stats().scrubs_replayed, 9u);
+  EXPECT_EQ(sys.stats().scrub_failures, 0u);
+  EXPECT_EQ(sys.stats().scrub_miscorrections, 0u);
+  EXPECT_TRUE(sys.read().read.data_correct);
+}
+
+TEST(DuplexScrubReplay, RewriteThatChangesASymbolIsNeverReplayed) {
+  // Pass 1 reads the flip and rewrites the symbol (the module changes);
+  // pass 2 therefore arbitrates again, reads a clean pair and rewrites
+  // nothing new; every later pass replays pass 2.
+  DuplexSystem sys{scripted_scrub_config()};
+  sys.store(test_data());
+  sys.inject_bit_flip(0, 4, 2);
+  sys.advance_to(10.5);
+  EXPECT_EQ(sys.stats().scrubs_attempted, 10u);
+  EXPECT_EQ(sys.stats().scrubs_replayed, 8u);
+  EXPECT_EQ(sys.stats().scrub_failures, 0u);
+  EXPECT_EQ(sys.damage(0).corrupted, 0u);
+}
+
+TEST(DuplexScrubReplay, NoOutputPairReplaysItsFailure) {
+  // Three symbols erased in both modules exceed RS(18,16)'s two parity
+  // symbols: both decoders fail on every pass and nothing is rewritten.
+  DuplexSystem sys{scripted_scrub_config()};
+  sys.store(test_data());
+  for (unsigned module = 0; module < 2; ++module) {
+    for (unsigned symbol = 0; symbol < 3; ++symbol) {
+      sys.inject_stuck_bit(module, symbol, 0, /*level=*/true,
+                           /*detected=*/true);
+    }
+  }
+  sys.advance_to(10.5);
+  EXPECT_EQ(sys.stats().scrubs_attempted, 10u);
+  EXPECT_EQ(sys.stats().scrubs_replayed, 9u);
+  EXPECT_EQ(sys.stats().scrub_failures, 10u);
+  EXPECT_EQ(sys.degradation().unrecovered_failures, 10u);
+  EXPECT_FALSE(sys.read().read.success);
+}
+
+TEST(DuplexScrubReplay, ActiveDegradationPolicyNeverReplays) {
+  DuplexSystemConfig cfg = scripted_scrub_config();
+  cfg.degradation.retry_with_detection = true;
+  DuplexSystem sys{cfg};
+  sys.store(test_data());
+  sys.advance_to(10.5);
+  EXPECT_EQ(sys.stats().scrubs_attempted, 10u);
+  EXPECT_EQ(sys.stats().scrubs_replayed, 0u);
 }
 
 }  // namespace

@@ -887,9 +887,10 @@ TEST(ServiceLoadgen, OpenLoopShardedRunAccountsForEveryRequest) {
 
 TEST(ServiceLoadgen, OpenLoopOverloadCountsRejectionsNotErrors) {
   // Deliberate overload: 1 worker, a queue of 1, a global backstop of 2,
-  // and a flood of distinct keys pipelined flat-out. The relief valve is
-  // typed kOverloaded — the loadgen must file those under `rejected`,
-  // keep `errors` at zero, and still account for every request.
+  // and a flood of distinct keys pipelined flat-out. The relief valves are
+  // typed kOverloaded and kBrownout (the brown-out threshold of a queue of
+  // 1 is 1) — the loadgen must file both under `rejected`, keep `errors`
+  // at zero, and still account for every request.
   LoadgenConfig config;
   config.self_host = true;
   config.open_loop = true;
