@@ -1,8 +1,10 @@
-// Markov sweep-engine throughput: legacy serial path vs the cached /
-// zero-alloc / parallel engine, on the paper's Fig. 7 workload (duplex
-// RS(18,16), lambda = 1.7e-5 /bit/day, Tsc in {900, 1200, 1800, 3600} s,
-// 25 time points over 48 h), plus the incremental periodic-scrub curve vs
-// the old from-scratch-per-point evaluation.
+// Markov sweep-engine throughput: a legacy serial reference vs the
+// cached / zero-alloc / parallel engine, on the paper's Fig. 7 workload
+// (duplex RS(18,16), lambda = 1.7e-5 /bit/day, Tsc in {900, 1200, 1800,
+// 3600} s, 25 time points over 48 h), plus the incremental periodic-scrub
+// curve vs the old from-scratch-per-point evaluation. Both references are
+// built here at their old cost: a chain build per curve and one solve()
+// -- a fresh workspace -- per grid step or scrub cycle.
 //
 // Writes a JSON snapshot when given --out <path> (tools/run_bench.sh
 // records it as BENCH_markov.json).
@@ -19,6 +21,7 @@
 #include "markov/periodic.h"
 #include "markov/solver_workspace.h"
 #include "markov/uniformization.h"
+#include "models/ber.h"
 #include "models/chain_cache.h"
 #include "models/duplex_model.h"
 #include "models/metrics.h"
@@ -103,11 +106,42 @@ int main(int argc, char** argv) {
                                         kSeuPerBitDay, periods, kHorizonHours,
                                         kPoints, options);
   };
-  const analysis::SweepOptions legacy_opts{1, false};
-  const analysis::SweepOptions engine1_opts{1, true};
-  const analysis::SweepOptions engine4_opts{4, true};
+  // Legacy serial reference: per period a fresh chain build, then one
+  // solve() per grid step, chaining the distribution forward.
+  const auto run_legacy = [&] {
+    const markov::UniformizationSolver solver;
+    const std::vector<double> times =
+        models::time_grid_hours(kHorizonHours, kPoints);
+    std::vector<analysis::Series> series;
+    for (const double period : periods) {
+      models::DuplexParams p;
+      p.n = code.n;
+      p.k = code.k;
+      p.m = code.m;
+      p.seu_rate_per_bit_hour = core::per_day_to_per_hour(kSeuPerBitDay);
+      p.scrub_rate_per_hour = core::scrub_rate_per_hour(period);
+      const markov::StateSpace space = models::DuplexModel{p}.build();
+      const std::size_t fail =
+          space.index_of(models::DuplexModel::fail_state());
+      const double scale = models::ber_scale(p.n, p.k, p.m);
+      analysis::Series curve{"", times, {}};
+      std::vector<double> pi = space.chain.initial_distribution();
+      double t_prev = 0.0;
+      for (const double t : times) {
+        if (t > t_prev) {
+          pi = solver.solve(space.chain, pi, t - t_prev);
+          t_prev = t;
+        }
+        curve.y.push_back(scale * pi[fail]);
+      }
+      series.push_back(std::move(curve));
+    }
+    return series;
+  };
+  const analysis::SweepOptions engine1_opts{1};
+  const analysis::SweepOptions engine4_opts{4};
 
-  const auto legacy = run_sweep(legacy_opts);
+  const auto legacy = run_legacy();
   models::global_chain_cache().clear();
   const auto engine1 = run_sweep(engine1_opts);
   models::global_chain_cache().clear();
@@ -123,10 +157,10 @@ int main(int argc, char** argv) {
   // Timing: pick repetitions from one legacy run so the totals are large
   // enough to trust, then keep the best (least-noise) repetition. Each
   // engine repetition starts from a cold chain cache.
-  const double once = best_of_seconds(1, [&] { run_sweep(legacy_opts); });
+  const double once = best_of_seconds(1, run_legacy);
   const int reps =
       std::max(3, std::min(25, static_cast<int>(0.5 / std::max(once, 1e-4))));
-  const double t_legacy = best_of_seconds(reps, [&] { run_sweep(legacy_opts); });
+  const double t_legacy = best_of_seconds(reps, run_legacy);
   const double t_engine1 = best_of_seconds(reps, [&] {
     models::global_chain_cache().clear();
     run_sweep(engine1_opts);
@@ -164,10 +198,10 @@ int main(int argc, char** argv) {
   }
 
   // ---- Section 2: incremental periodic-scrub occupancy. ----
-  // The library path now carries the distribution across scrub cycles;
-  // the reference below recomputes every point from pi(0), which is what
-  // occupancy_with_periodic_jump used to do (48 h at Tsc = 900 s is 192
-  // cycles, so the old cost grew quadratically).
+  // The library path carries the distribution across scrub cycles; the
+  // reference below recomputes every point from pi(0) with one solve()
+  // per cycle, which is what occupancy_with_periodic_jump used to do (48 h
+  // at Tsc = 900 s is 192 cycles, so the old cost grew quadratically).
   models::DuplexParams params;
   params.n = 18;
   params.k = 16;
@@ -196,20 +230,38 @@ int main(int argc, char** argv) {
   }
   const markov::UniformizationSolver solver;
 
+  const auto jump = [&](std::vector<double>& pi) {
+    std::vector<double> next(pi.size(), 0.0);
+    for (std::size_t s = 0; s < pi.size(); ++s) next[jump_map[s]] += pi[s];
+    pi.swap(next);
+  };
   const auto from_scratch = [&] {
+    const double eps = tsc_hours * 1e-9;
     std::vector<double> out;
     out.reserve(times.size());
     for (const double t : times) {
-      const std::vector<double> pi = markov::solve_with_periodic_jump(
-          space.chain, space.chain.initial_distribution(), jump_map, tsc_hours,
-          t, solver);
+      std::vector<double> pi = space.chain.initial_distribution();
+      double now = 0.0;
+      while (t - now > tsc_hours - eps) {
+        pi = solver.solve(space.chain, pi, tsc_hours);
+        jump(pi);
+        now += tsc_hours;
+      }
+      if (t - now > eps) {
+        const double rest = t - now;
+        pi = solver.solve(space.chain, pi, rest);
+        if (std::fabs(rest - tsc_hours) <= eps) jump(pi);
+      }
       out.push_back(pi[fail_index]);
     }
     return out;
   };
+  // The library path as production calls it: a call-local workspace.
   const auto incremental = [&] {
-    return markov::occupancy_with_periodic_jump(
-        space.chain, fail_index, jump_map, tsc_hours, times, solver);
+    markov::SolverWorkspace call_ws;
+    return markov::occupancy_with_periodic_jump(space.chain, fail_index,
+                                                jump_map, tsc_hours, times,
+                                                solver, call_ws);
   };
 
   const std::vector<double> scratch_curve = from_scratch();

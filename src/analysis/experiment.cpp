@@ -1,7 +1,6 @@
 #include "analysis/experiment.h"
 
 #include <cstdio>
-#include <stdexcept>
 
 #include "analysis/campaign.h"
 #include "core/units.h"
@@ -24,11 +23,12 @@ std::string format_rate(double v) {
   return buf;
 }
 
-models::SimplexParams simplex_params(const CodeSpec& code,
-                                     double seu_per_bit_hour,
-                                     double erasure_per_symbol_hour,
-                                     double scrub_rate_per_hour) {
-  models::SimplexParams params;
+// SimplexParams and DuplexParams share these fields.
+template <typename Params>
+Params model_params(const CodeSpec& code, double seu_per_bit_hour,
+                    double erasure_per_symbol_hour,
+                    double scrub_rate_per_hour) {
+  Params params;
   params.n = code.n;
   params.k = code.k;
   params.m = code.m;
@@ -38,75 +38,28 @@ models::SimplexParams simplex_params(const CodeSpec& code,
   return params;
 }
 
-models::DuplexParams duplex_params(const CodeSpec& code,
-                                   double seu_per_bit_hour,
-                                   double erasure_per_symbol_hour,
-                                   double scrub_rate_per_hour) {
-  models::DuplexParams params;
-  params.n = code.n;
-  params.k = code.k;
-  params.m = code.m;
-  params.seu_rate_per_bit_hour = seu_per_bit_hour;
-  params.erasure_rate_per_symbol_hour = erasure_per_symbol_hour;
-  params.scrub_rate_per_hour = scrub_rate_per_hour;
-  return params;
-}
-
-// Legacy reference path: build the chain and allocate solver state per
-// point, exactly as the original serial sweeps did.
-models::BerCurve run_curve_legacy(Arrangement arrangement,
-                                  const CodeSpec& code,
-                                  double seu_per_bit_hour,
-                                  double erasure_per_symbol_hour,
-                                  double scrub_rate_per_hour,
-                                  std::span<const double> times_hours) {
-  const markov::UniformizationSolver solver;
-  if (arrangement == Arrangement::kSimplex) {
-    return models::simplex_ber_curve(
-        simplex_params(code, seu_per_bit_hour, erasure_per_symbol_hour,
-                       scrub_rate_per_hour),
-        times_hours, solver);
-  }
-  return models::duplex_ber_curve(
-      duplex_params(code, seu_per_bit_hour, erasure_per_symbol_hour,
-                    scrub_rate_per_hour),
-      times_hours, solver);
-}
-
-// Engine path: chain from the process-wide cache, per-thread workspace,
-// dense step operators on the repeated grid widths.
-models::BerCurve run_curve_engine(Arrangement arrangement,
-                                  const CodeSpec& code,
-                                  double seu_per_bit_hour,
-                                  double erasure_per_symbol_hour,
-                                  double scrub_rate_per_hour,
-                                  std::span<const double> times_hours) {
+// One sweep point: chain from the process-wide cache, per-thread
+// workspace, dense step operators on the repeated grid widths.
+models::BerCurve run_curve(Arrangement arrangement, const CodeSpec& code,
+                           double seu_per_bit_hour,
+                           double erasure_per_symbol_hour,
+                           double scrub_rate_per_hour,
+                           std::span<const double> times_hours) {
   static thread_local markov::SolverWorkspace workspace;
   const markov::UniformizationSolver solver;
   const markov::StepPolicy policy{kEngineMaxDenseStates};
   if (arrangement == Arrangement::kSimplex) {
     return models::simplex_ber_curve(
-        simplex_params(code, seu_per_bit_hour, erasure_per_symbol_hour,
-                       scrub_rate_per_hour),
+        model_params<models::SimplexParams>(code, seu_per_bit_hour,
+                                            erasure_per_symbol_hour,
+                                            scrub_rate_per_hour),
         times_hours, solver, models::global_chain_cache(), workspace, policy);
   }
   return models::duplex_ber_curve(
-      duplex_params(code, seu_per_bit_hour, erasure_per_symbol_hour,
-                    scrub_rate_per_hour),
+      model_params<models::DuplexParams>(code, seu_per_bit_hour,
+                                         erasure_per_symbol_hour,
+                                         scrub_rate_per_hour),
       times_hours, solver, models::global_chain_cache(), workspace, policy);
-}
-
-// Runs fill_point(i) for every sweep point. The engine path distributes
-// the independent points over the thread pool (each writes only slot i, so
-// the result is identical for every thread count); the legacy path stays
-// strictly serial.
-void run_sweep_points(std::size_t count, const SweepOptions& options,
-                      const std::function<void(std::size_t)>& fill_point) {
-  if (options.use_engine) {
-    parallel_for_indexed(count, options.threads, fill_point);
-  } else {
-    for (std::size_t i = 0; i < count; ++i) fill_point(i);
-  }
 }
 
 }  // namespace
@@ -122,16 +75,12 @@ std::vector<Series> seu_rate_sweep(Arrangement arrangement, CodeSpec code,
   const std::vector<double> times =
       models::time_grid_hours(t_end_hours, points);
   std::vector<Series> series(seu_per_bit_day.size());
-  run_sweep_points(
-      seu_per_bit_day.size(), options, [&](std::size_t i) {
+  parallel_for_indexed(
+      seu_per_bit_day.size(), options.threads, [&](std::size_t i) {
         const double rate_day = seu_per_bit_day[i];
-        const double rate_hour = core::per_day_to_per_hour(rate_day);
         const models::BerCurve curve =
-            options.use_engine
-                ? run_curve_engine(arrangement, code, rate_hour, 0.0, 0.0,
-                                   times)
-                : run_curve_legacy(arrangement, code, rate_hour, 0.0, 0.0,
-                                   times);
+            run_curve(arrangement, code, core::per_day_to_per_hour(rate_day),
+                      0.0, 0.0, times);
         series[i] = {"lambda=" + format_rate(rate_day) + "/bit/day", times,
                      curve.ber};
       });
@@ -146,17 +95,13 @@ std::vector<Series> scrub_period_sweep(Arrangement arrangement, CodeSpec code,
   const std::vector<double> times =
       models::time_grid_hours(t_end_hours, points);
   std::vector<Series> series(periods_seconds.size());
-  run_sweep_points(
-      periods_seconds.size(), options, [&](std::size_t i) {
+  parallel_for_indexed(
+      periods_seconds.size(), options.threads, [&](std::size_t i) {
         const double period_s = periods_seconds[i];
-        const double seu_hour = core::per_day_to_per_hour(seu_per_bit_day);
-        const double scrub_hour = core::scrub_rate_per_hour(period_s);
         const models::BerCurve curve =
-            options.use_engine
-                ? run_curve_engine(arrangement, code, seu_hour, 0.0,
-                                   scrub_hour, times)
-                : run_curve_legacy(arrangement, code, seu_hour, 0.0,
-                                   scrub_hour, times);
+            run_curve(arrangement, code,
+                      core::per_day_to_per_hour(seu_per_bit_day), 0.0,
+                      core::scrub_rate_per_hour(period_s), times);
         char label[32];
         std::snprintf(label, sizeof label, "Tsc=%.0f s", period_s);
         series[i] = {label, times, curve.ber};
@@ -168,9 +113,6 @@ std::vector<Series> permanent_rate_sweep(
     Arrangement arrangement, CodeSpec code,
     std::span<const double> erasure_per_symbol_day, double t_end_months,
     std::size_t points, const SweepOptions& options) {
-  if (t_end_months <= 0.0) {
-    throw std::invalid_argument("permanent_rate_sweep: t_end_months <= 0");
-  }
   const std::vector<double> times_hours =
       models::time_grid_hours(core::months_to_hours(t_end_months), points);
   std::vector<double> times_months;
@@ -179,16 +121,12 @@ std::vector<Series> permanent_rate_sweep(
     times_months.push_back(core::hours_to_months(t));
   }
   std::vector<Series> series(erasure_per_symbol_day.size());
-  run_sweep_points(
-      erasure_per_symbol_day.size(), options, [&](std::size_t i) {
+  parallel_for_indexed(
+      erasure_per_symbol_day.size(), options.threads, [&](std::size_t i) {
         const double rate_day = erasure_per_symbol_day[i];
-        const double rate_hour = core::per_day_to_per_hour(rate_day);
         const models::BerCurve curve =
-            options.use_engine
-                ? run_curve_engine(arrangement, code, 0.0, rate_hour, 0.0,
-                                   times_hours)
-                : run_curve_legacy(arrangement, code, 0.0, rate_hour, 0.0,
-                                   times_hours);
+            run_curve(arrangement, code, 0.0,
+                      core::per_day_to_per_hour(rate_day), 0.0, times_hours);
         series[i] = {"lambda_e=" + format_rate(rate_day) + "/sym/day",
                      times_months, curve.ber};
       });

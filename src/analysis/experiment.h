@@ -32,18 +32,15 @@ struct CodeSpec {
   unsigned m = 8;
 };
 
-// Sweep execution knobs. The default is the engine path: chains come from
-// the process-wide ChainCache, each point solves through a per-thread
-// SolverWorkspace with dense step operators on the evenly spaced grid, and
-// points are distributed over a sim::ThreadPool. Engine results are
-// deterministic -- identical for every thread count, since each point is
-// computed independently and written to its own slot -- and agree with the
-// legacy path to solver accuracy (<= 1e-12 relative). use_engine = false
-// selects the legacy per-point build-and-solve, run serially (`threads` is
-// ignored); it is kept as the reference for tests and benchmarks.
+// Sweep execution: chains come from the process-wide ChainCache, each
+// point solves through a per-thread SolverWorkspace with dense step
+// operators on the evenly spaced grid, and points are distributed over a
+// sim::ThreadPool. Results are deterministic -- identical for every thread
+// count, since each point is computed independently and written to its
+// own slot -- and agree with per-point build-and-solve to solver accuracy
+// (<= 1e-12 relative).
 struct SweepOptions {
-  unsigned threads = 0;    // 0 = hardware concurrency
-  bool use_engine = true;  // false: legacy serial reference path
+  unsigned threads = 0;  // 0 = hardware concurrency
 };
 
 // Figs. 5 & 6: one curve per SEU rate (per bit per day); no permanent

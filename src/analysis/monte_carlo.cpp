@@ -3,6 +3,7 @@
 #include <cmath>
 #include <memory>
 #include <stdexcept>
+#include <string>
 
 #include "gf/aligned.h"
 #include "sim/rng.h"
@@ -25,6 +26,17 @@ std::size_t resolve_batch_width(const MonteCarloConfig& config,
                                 const memory::DegradationPolicy& degradation) {
   if (degradation.any_enabled()) return 1;
   return config.batch_trials == 0 ? kDefaultBatchTrials : config.batch_trials;
+}
+
+// Both entry points need a trial and a finite, non-negative horizon (NaN
+// would run no events and +inf would never finish).
+void check_config(const MonteCarloConfig& config, const std::string& who) {
+  if (config.trials == 0) {
+    throw std::invalid_argument(who + ": need at least 1 trial");
+  }
+  if (!std::isfinite(config.t_end_hours) || config.t_end_hours < 0.0) {
+    throw std::invalid_argument(who + ": t_end_hours must be finite and >= 0");
+  }
 }
 
 void fill_random_data(sim::Rng& rng, std::span<gf::Element> data, unsigned m) {
@@ -179,9 +191,7 @@ MonteCarloResult run_simplex_trials(const memory::SimplexSystemConfig& system,
                                     const MonteCarloConfig& config,
                                     CampaignReport* report,
                                     CampaignProgress* progress) {
-  if (config.trials == 0) {
-    throw std::invalid_argument("run_simplex_trials: need at least 1 trial");
-  }
+  check_config(config, "run_simplex_trials");
   const sim::Rng root{config.seed};
   const std::shared_ptr<const rs::ReedSolomon> shared_code =
       campaign_code(system.shared_code, system.code);
@@ -299,9 +309,7 @@ MonteCarloResult run_duplex_trials(const memory::DuplexSystemConfig& system,
                                    const MonteCarloConfig& config,
                                    CampaignReport* report,
                                    CampaignProgress* progress) {
-  if (config.trials == 0) {
-    throw std::invalid_argument("run_duplex_trials: need at least 1 trial");
-  }
+  check_config(config, "run_duplex_trials");
   const sim::Rng root{config.seed};
   const std::shared_ptr<const rs::ReedSolomon> shared_code =
       campaign_code(system.shared_code, system.code);

@@ -1,8 +1,26 @@
 #include "cli/args.h"
 
+#include <cmath>
 #include <cstdlib>
+#include <optional>
+#include <string>
 
 namespace rsmem::cli {
+
+namespace {
+
+// The whole of `text` as a finite double; nullopt for anything else,
+// including nan and inf, which no flag accepts.
+std::optional<double> parse_finite(const std::string& text) {
+  char* end = nullptr;
+  const double value = std::strtod(text.c_str(), &end);
+  if (end == text.c_str() || *end != '\0' || !std::isfinite(value)) {
+    return std::nullopt;
+  }
+  return value;
+}
+
+}  // namespace
 
 Args Args::parse(int argc, const char* const* argv) {
   Args args;
@@ -60,12 +78,12 @@ std::string Args::get_string_or(const std::string& key,
 
 double Args::get_double(const std::string& key) const {
   const std::string raw = get_string(key);
-  char* end = nullptr;
-  const double value = std::strtod(raw.c_str(), &end);
-  if (end == raw.c_str() || *end != '\0') {
-    throw ArgError("flag --" + key + " expects a number, got '" + raw + "'");
+  const std::optional<double> value = parse_finite(raw);
+  if (!value) {
+    throw ArgError("flag --" + key + " expects a finite number, got '" + raw +
+                   "'");
   }
-  return value;
+  return *value;
 }
 
 double Args::get_double_or(const std::string& key, double fallback) const {
@@ -103,13 +121,12 @@ std::vector<double> Args::get_double_list(const std::string& key) const {
     const std::string item =
         raw.substr(start, comma == std::string::npos ? std::string::npos
                                                      : comma - start);
-    char* end = nullptr;
-    const double value = std::strtod(item.c_str(), &end);
-    if (item.empty() || end == item.c_str() || *end != '\0') {
-      throw ArgError("flag --" + key + " expects numbers, got '" + item +
-                     "'");
+    const std::optional<double> value = parse_finite(item);
+    if (!value) {
+      throw ArgError("flag --" + key + " expects finite numbers, got '" +
+                     item + "'");
     }
-    out.push_back(value);
+    out.push_back(*value);
     if (comma == std::string::npos) break;
     start = comma + 1;
   }

@@ -33,7 +33,8 @@ class Args {
   bool has(const std::string& key) const;
 
   // Typed getters; the *_or forms supply defaults, the plain forms throw
-  // ArgError when the flag is absent.
+  // ArgError when the flag is absent. Doubles must be finite: nan and inf
+  // raise ArgError.
   std::string get_string(const std::string& key) const;
   std::string get_string_or(const std::string& key,
                             const std::string& fallback) const;

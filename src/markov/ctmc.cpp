@@ -63,43 +63,32 @@ bool Ctmc::is_absorbing(std::size_t state) const {
   return true;
 }
 
+void check_query_times(std::span<const double> times) {
+  double prev = 0.0;
+  for (const double t : times) {
+    if (!std::isfinite(t)) {
+      throw std::invalid_argument("query times must be finite");
+    }
+    if (t < prev) {
+      throw std::invalid_argument(
+          "query times must be non-negative and sorted");
+    }
+    prev = t;
+  }
+}
+
+std::vector<double> TransientSolver::solve(const Ctmc& chain,
+                                           std::span<const double> pi0,
+                                           double t) const {
+  SolverWorkspace ws;
+  std::vector<double> out(chain.num_states());
+  solve_into(chain, pi0, t, ws, out);
+  return out;
+}
+
 std::vector<double> TransientSolver::solve(const Ctmc& chain, double t) const {
   const std::vector<double> pi0 = chain.initial_distribution();
   return solve(chain, pi0, t);
-}
-
-void TransientSolver::solve_into(const Ctmc& chain,
-                                 std::span<const double> pi0, double t,
-                                 SolverWorkspace& /*ws*/,
-                                 std::span<double> out) const {
-  const std::vector<double> pi = solve(chain, pi0, t);
-  if (out.size() != pi.size()) {
-    throw std::invalid_argument("solve_into: output size mismatch");
-  }
-  std::copy(pi.begin(), pi.end(), out.begin());
-}
-
-std::vector<double> TransientSolver::occupancy_curve(
-    const Ctmc& chain, std::size_t state,
-    std::span<const double> times) const {
-  if (state >= chain.num_states()) {
-    throw std::invalid_argument("occupancy_curve: state out of range");
-  }
-  std::vector<double> result;
-  result.reserve(times.size());
-  std::vector<double> pi = chain.initial_distribution();
-  double t_prev = 0.0;
-  for (const double t : times) {
-    if (t < t_prev) {
-      throw std::invalid_argument("occupancy_curve: times must be sorted");
-    }
-    if (t > t_prev) {
-      pi = solve(chain, pi, t - t_prev);
-      t_prev = t;
-    }
-    result.push_back(pi[state]);
-  }
-  return result;
 }
 
 std::vector<double> TransientSolver::occupancy_curve(
@@ -110,10 +99,12 @@ std::vector<double> TransientSolver::occupancy_curve(
   }
   const std::size_t n = chain.num_states();
 
-  // Pre-pass: validate ordering and count how often each distinct step
-  // width occurs, so widths repeated more than n times can share a dense
-  // operator. Keys are exact doubles -- evenly spaced grids can produce
-  // step widths one ulp apart, and each such value is its own key.
+  check_query_times(times);
+
+  // Pre-pass: count how often each distinct step width occurs, so widths
+  // repeated more than n times can share a dense operator. Keys are exact
+  // doubles -- evenly spaced grids can produce step widths one ulp apart,
+  // and each such value is its own key.
   struct DtUse {
     double dt;
     std::size_t count;
@@ -122,9 +113,6 @@ std::vector<double> TransientSolver::occupancy_curve(
   std::vector<DtUse> widths;
   double t_prev = 0.0;
   for (const double t : times) {
-    if (t < t_prev) {
-      throw std::invalid_argument("occupancy_curve: times must be sorted");
-    }
     if (t > t_prev) {
       const double dt = t - t_prev;
       auto it = std::find_if(widths.begin(), widths.end(),

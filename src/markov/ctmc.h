@@ -52,36 +52,35 @@ class Ctmc {
   std::size_t initial_state_;
 };
 
-// Interface shared by the transient solvers: returns the state probability
-// vector pi(t) with pi(0) = pi0.
+// Throws std::invalid_argument unless `times` is finite, non-negative and
+// non-decreasing: the query grids every transient walk accepts.
+void check_query_times(std::span<const double> times);
+
+// Interface shared by the transient solvers. solve_into is the one
+// operation a solver implements; solve() and the occupancy walk are built
+// on it.
 class TransientSolver {
  public:
   virtual ~TransientSolver() = default;
-  virtual std::vector<double> solve(const Ctmc& chain,
-                                    std::span<const double> pi0,
-                                    double t) const = 0;
+
+  // Writes pi(t), with pi(0) = pi0, into `out` (size num_states) using the
+  // workspace's buffers and cached Poisson windows.
+  virtual void solve_into(const Ctmc& chain, std::span<const double> pi0,
+                          double t, SolverWorkspace& ws,
+                          std::span<double> out) const = 0;
+
+  // Returns pi(t): solve_into on a call-local workspace.
+  std::vector<double> solve(const Ctmc& chain, std::span<const double> pi0,
+                            double t) const;
 
   // Convenience: start from the chain's own initial state.
   std::vector<double> solve(const Ctmc& chain, double t) const;
 
-  // Zero-allocation variant: writes pi(t) into `out` (size num_states)
-  // using workspace buffers and cached Poisson windows. The base
-  // implementation falls back to the allocating solve(); the concrete
-  // solvers override it. Results are bitwise identical to solve().
-  virtual void solve_into(const Ctmc& chain, std::span<const double> pi0,
-                          double t, SolverWorkspace& ws,
-                          std::span<double> out) const;
-
-  // Probability of occupying `state` at each time in `times`
-  // (times must be non-decreasing; solved incrementally).
-  std::vector<double> occupancy_curve(const Ctmc& chain, std::size_t state,
-                                      std::span<const double> times) const;
-
-  // Workspace variant: same incremental walk through solve_into, so with
-  // the default StepPolicy the curve is bitwise identical to the
-  // allocating overload while reusing the workspace's buffers and window
-  // cache. A nonzero policy.max_dense_states lets repeated step widths run
-  // through a dense StepOperator (engine accuracy, ~1e-13 relative).
+  // Probability of occupying `state` at each time in `times` (finite and
+  // non-decreasing), solved incrementally through solve_into. With the
+  // default StepPolicy every point is bitwise identical to chaining
+  // solve() step by step; a nonzero policy.max_dense_states lets repeated
+  // step widths run through a dense StepOperator (~1e-13 relative).
   std::vector<double> occupancy_curve(const Ctmc& chain, std::size_t state,
                                       std::span<const double> times,
                                       SolverWorkspace& ws,

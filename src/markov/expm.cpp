@@ -1,5 +1,6 @@
 #include "markov/expm.h"
 
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 
@@ -83,25 +84,28 @@ DenseMatrix expm(const DenseMatrix& a) {
   return r;
 }
 
-std::vector<double> ExpmSolver::solve(const Ctmc& chain,
-                                      std::span<const double> pi0,
-                                      double t) const {
+void ExpmSolver::solve_into(const Ctmc& chain, std::span<const double> pi0,
+                            double t, SolverWorkspace& /*ws*/,
+                            std::span<double> out) const {
   if (pi0.size() != chain.num_states()) {
     throw std::invalid_argument("ExpmSolver: pi0 size mismatch");
   }
+  if (out.size() != chain.num_states()) {
+    throw std::invalid_argument("ExpmSolver: output size mismatch");
+  }
   if (t < 0.0) throw std::invalid_argument("ExpmSolver: negative time");
-  std::vector<double> result(pi0.begin(), pi0.end());
-  if (t == 0.0) return result;
+  if (t == 0.0) {
+    std::copy(pi0.begin(), pi0.end(), out.begin());
+    return;
+  }
 
   DenseMatrix qt = chain.generator().to_dense();
   for (std::size_t r = 0; r < qt.rows(); ++r) {
     for (std::size_t c = 0; c < qt.cols(); ++c) qt.at(r, c) *= t;
   }
-  const DenseMatrix p = expm(qt);
-  // pi(t) = pi0 * P  (row vector times matrix).
-  result = p.apply_transpose(result);
-  for (double& x : result) x = std::max(x, 0.0);
-  return result;
+  // pi(t) = pi0 * exp(Q t)  (row vector times matrix).
+  const std::vector<double> pi = expm(qt).apply_transpose(pi0);
+  for (std::size_t i = 0; i < pi.size(); ++i) out[i] = std::max(pi[i], 0.0);
 }
 
 }  // namespace rsmem::markov

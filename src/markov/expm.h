@@ -18,9 +18,9 @@ class ExpmSolver final : public TransientSolver {
  public:
   ExpmSolver() = default;
 
-  using TransientSolver::solve;
-  std::vector<double> solve(const Ctmc& chain, std::span<const double> pi0,
-                            double t) const override;
+  // Builds the dense exp(Q t) per call; the workspace is unused.
+  void solve_into(const Ctmc& chain, std::span<const double> pi0, double t,
+                  SolverWorkspace& ws, std::span<double> out) const override;
 };
 
 }  // namespace rsmem::markov

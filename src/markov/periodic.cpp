@@ -25,8 +25,9 @@ void validate(const Ctmc& chain, std::span<const double> pi0,
       throw std::invalid_argument("periodic jump: map target out of range");
     }
   }
-  if (period <= 0.0) {
-    throw std::invalid_argument("periodic jump: period must be positive");
+  if (!std::isfinite(period) || period <= 0.0) {
+    throw std::invalid_argument(
+        "periodic jump: period must be positive and finite");
   }
 }
 
@@ -41,92 +42,7 @@ void apply_jump_into(std::span<const std::size_t> jump_map,
   pi.swap(scratch);
 }
 
-void apply_jump(std::span<const std::size_t> jump_map,
-                std::vector<double>& pi) {
-  std::vector<double> next;
-  apply_jump_into(jump_map, pi, next);  // leaves the result in pi
-}
-
 }  // namespace
-
-std::vector<double> solve_with_periodic_jump(
-    const Ctmc& chain, std::span<const double> pi0,
-    std::span<const std::size_t> jump_map, double period, double t,
-    const TransientSolver& solver) {
-  validate(chain, pi0, jump_map, period);
-  if (t < 0.0) {
-    throw std::invalid_argument("periodic jump: negative time");
-  }
-  std::vector<double> pi(pi0.begin(), pi0.end());
-  double now = 0.0;
-  // Evolve period by period; guard against float drift with a boundary
-  // tolerance of one part in 1e-9 of the period.
-  const double eps = period * 1e-9;
-  while (t - now > period - eps) {
-    pi = solver.solve(chain, pi, period);
-    apply_jump(jump_map, pi);
-    now += period;
-  }
-  if (t - now > eps) {
-    const double rest = t - now;
-    pi = solver.solve(chain, pi, rest);
-    if (std::fabs(rest - period) <= eps) {
-      apply_jump(jump_map, pi);  // query exactly on a jump instant
-    }
-  }
-  return pi;
-}
-
-std::vector<double> occupancy_with_periodic_jump(
-    const Ctmc& chain, std::size_t state,
-    std::span<const std::size_t> jump_map, double period,
-    std::span<const double> times, const TransientSolver& solver) {
-  if (state >= chain.num_states()) {
-    throw std::invalid_argument("periodic jump: state out of range");
-  }
-  const std::vector<double> pi0 = chain.initial_distribution();
-  validate(chain, pi0, jump_map, period);
-
-  std::vector<double> result;
-  result.reserve(times.size());
-  // Anchor: the distribution at the last completed scrub cycle (post-jump),
-  // carried forward across query times. `now` accumulates period by period
-  // exactly like the from-scratch loop did, so the cycle-boundary
-  // comparisons -- and therefore the whole curve -- are bitwise identical
-  // to solving every point from pi(0).
-  std::vector<double> anchor = pi0;
-  std::vector<double> pi;
-  double now = 0.0;
-  const double eps = period * 1e-9;
-  double prev = -1.0;
-  for (const double t : times) {
-    if (t < prev) {
-      throw std::invalid_argument("periodic jump: times must be sorted");
-    }
-    prev = t;
-    if (t < 0.0) {
-      throw std::invalid_argument("periodic jump: negative time");
-    }
-    while (t - now > period - eps) {
-      anchor = solver.solve(chain, anchor, period);
-      apply_jump(jump_map, anchor);
-      now += period;
-    }
-    if (t - now > eps) {
-      // Mid-cycle query: advance a scratch copy, leaving the anchor at the
-      // cycle boundary for the next query.
-      const double rest = t - now;
-      pi = solver.solve(chain, anchor, rest);
-      if (std::fabs(rest - period) <= eps) {
-        apply_jump(jump_map, pi);  // query exactly on a jump instant
-      }
-      result.push_back(pi[state]);
-    } else {
-      result.push_back(anchor[state]);
-    }
-  }
-  return result;
-}
 
 std::vector<double> solve_with_periodic_jump(
     const Ctmc& chain, std::span<const double> pi0,
@@ -134,10 +50,10 @@ std::vector<double> solve_with_periodic_jump(
     const TransientSolver& solver, SolverWorkspace& ws,
     const StepPolicy& policy) {
   validate(chain, pi0, jump_map, period);
-  if (t < 0.0) {
-    throw std::invalid_argument("periodic jump: negative time");
-  }
+  check_query_times(std::span<const double>(&t, 1));
   const std::size_t n = chain.num_states();
+  // Evolve period by period; guard against float drift with a boundary
+  // tolerance of one part in 1e-9 of the period.
   const double eps = period * 1e-9;
   const std::size_t cycles =
       t > period - eps ? static_cast<std::size_t>((t + eps) / period) : 0;
@@ -165,7 +81,7 @@ std::vector<double> solve_with_periodic_jump(
     solver.solve_into(chain, pi, rest, ws, ws.pi_b);
     pi.swap(ws.pi_b);
     if (std::fabs(rest - period) <= eps) {
-      apply_jump_into(jump_map, pi, ws.jump_tmp);
+      apply_jump_into(jump_map, pi, ws.jump_tmp);  // query on a jump instant
     }
   }
   return pi;
@@ -183,7 +99,13 @@ std::vector<double> occupancy_with_periodic_jump(
   ws.pi_a.assign(n, 0.0);
   ws.pi_a[chain.initial_state()] = 1.0;
   validate(chain, ws.pi_a, jump_map, period);
+  check_query_times(times);
 
+  // Anchor (ws.pi_a): the distribution at the last completed scrub cycle
+  // (post-jump), carried forward across query times. `now` accumulates
+  // period by period exactly like the from-scratch loop, so the
+  // cycle-boundary comparisons -- and therefore the whole curve -- are
+  // bitwise identical to solving every point from pi(0).
   const double eps = period * 1e-9;
   const std::size_t total_cycles =
       times.empty() ? 0
@@ -197,15 +119,7 @@ std::vector<double> occupancy_with_periodic_jump(
   result.reserve(times.size());
   ws.pi_b.resize(n);
   double now = 0.0;
-  double prev = -1.0;
   for (const double t : times) {
-    if (t < prev) {
-      throw std::invalid_argument("periodic jump: times must be sorted");
-    }
-    prev = t;
-    if (t < 0.0) {
-      throw std::invalid_argument("periodic jump: negative time");
-    }
     while (t - now > period - eps) {
       if (dense) {
         if (!op) op.emplace(chain, period, solver, ws);
@@ -218,10 +132,12 @@ std::vector<double> occupancy_with_periodic_jump(
       now += period;
     }
     if (t - now > eps) {
+      // Mid-cycle query: advance a scratch copy, leaving the anchor at the
+      // cycle boundary for the next query.
       const double rest = t - now;
       solver.solve_into(chain, ws.pi_a, rest, ws, ws.pi_b);
       if (std::fabs(rest - period) <= eps) {
-        apply_jump_into(jump_map, ws.pi_b, ws.jump_tmp);
+        apply_jump_into(jump_map, ws.pi_b, ws.jump_tmp);  // on a jump instant
       }
       result.push_back(ws.pi_b[state]);
     } else {

@@ -23,35 +23,27 @@ namespace rsmem::markov {
 // points (jump_map[s] == s) are allowed and typical for fault-free and
 // absorbing states.
 //
+// Both walks solve through `ws` (reused buffers, cached Poisson windows).
+// With the default StepPolicy each cycle is one solve_into, bitwise
+// identical to chaining solve() cycle by cycle; when the policy allows
+// and the cycle count amortises it, whole cycles advance through a dense
+// exp(Q*period) StepOperator instead (~1e-13 relative).
+//
 // Throws std::invalid_argument on a size mismatch, an out-of-range map
-// entry, or a non-positive period.
-std::vector<double> solve_with_periodic_jump(
-    const Ctmc& chain, std::span<const double> pi0,
-    std::span<const std::size_t> jump_map, double period, double t,
-    const TransientSolver& solver);
-
-// Occupancy of `state` at each (sorted, ascending) time in `times`.
-// Solved incrementally: the distribution at the last completed scrub cycle
-// is carried forward across query times (mid-cycle queries advance a
-// scratch copy), so the whole curve costs O(total cycles + points) solves
-// instead of the O(cycles^2) of restarting from pi(0) per point. Results
-// are bitwise identical to the from-scratch evaluation.
-std::vector<double> occupancy_with_periodic_jump(
-    const Ctmc& chain, std::size_t state,
-    std::span<const std::size_t> jump_map, double period,
-    std::span<const double> times, const TransientSolver& solver);
-
-// Engine variants: reuse workspace buffers via solve_into, and -- when the
-// policy allows and the cycle count amortises it -- advance whole cycles
-// through a dense exp(Q*period) StepOperator. With the default StepPolicy
-// the results are bitwise identical to the overloads above; with dense
-// stepping they agree to solver accuracy (~1e-13 relative).
+// entry, a non-positive or non-finite period, or a negative or non-finite
+// time.
 std::vector<double> solve_with_periodic_jump(
     const Ctmc& chain, std::span<const double> pi0,
     std::span<const std::size_t> jump_map, double period, double t,
     const TransientSolver& solver, SolverWorkspace& ws,
     const StepPolicy& policy = {});
 
+// Occupancy of `state` at each (sorted, ascending) time in `times`.
+// Solved incrementally: the distribution at the last completed scrub cycle
+// is carried forward across query times (mid-cycle queries advance a
+// scratch copy), so the whole curve costs O(total cycles + points) solves
+// instead of the O(cycles^2) of restarting from pi(0) per point. Results
+// are bitwise identical to that from-scratch evaluation.
 std::vector<double> occupancy_with_periodic_jump(
     const Ctmc& chain, std::size_t state,
     std::span<const std::size_t> jump_map, double period,

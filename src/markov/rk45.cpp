@@ -36,15 +36,6 @@ Rk45Solver::Rk45Solver(double rel_tol, double abs_tol)
   }
 }
 
-std::vector<double> Rk45Solver::solve(const Ctmc& chain,
-                                      std::span<const double> pi0,
-                                      double t) const {
-  SolverWorkspace ws;
-  std::vector<double> out(pi0.size());
-  solve_into(chain, pi0, t, ws, out);
-  return out;
-}
-
 void Rk45Solver::solve_into(const Ctmc& chain, std::span<const double> pi0,
                             double t, SolverWorkspace& ws,
                             std::span<double> out) const {

@@ -15,13 +15,8 @@ class Rk45Solver final : public TransientSolver {
  public:
   explicit Rk45Solver(double rel_tol = 1e-10, double abs_tol = 1e-14);
 
-  using TransientSolver::solve;
-  std::vector<double> solve(const Ctmc& chain, std::span<const double> pi0,
-                            double t) const override;
-
-  // Zero-allocation path: the integration state (y, the seven stages, the
-  // step candidate) lives in ws.v / ws.k1..k7 / ws.tmp / ws.y5. Bitwise
-  // identical to solve() (which delegates here with a local workspace).
+  // The integration state (y, the seven stages, the step candidate) lives
+  // in ws.v / ws.k1..k7 / ws.tmp / ws.y5.
   void solve_into(const Ctmc& chain, std::span<const double> pi0, double t,
                   SolverWorkspace& ws, std::span<double> out) const override;
 

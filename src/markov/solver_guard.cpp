@@ -5,7 +5,6 @@
 
 #include "markov/expm.h"
 #include "markov/rk45.h"
-#include "markov/solver_workspace.h"
 #include "markov/uniformization.h"
 
 namespace rsmem::markov {
@@ -113,8 +112,7 @@ void GuardedTransientSolver::solve_into(const Ctmc& chain,
       }
       case SolverStage::kDenseExpm: {
         const ExpmSolver solver;
-        const std::vector<double> result = solver.solve(chain, pi0, t);
-        std::copy(result.begin(), result.end(), out.begin());
+        solver.solve_into(chain, pi0, t, ws, out);
         break;
       }
     }
@@ -135,15 +133,6 @@ void GuardedTransientSolver::solve_into(const Ctmc& chain,
       "transient solve at t=" + std::to_string(t) +
       " h rejected by every stage of the fallback chain (" +
       describe_attempts(last_report_) + ")"));
-}
-
-std::vector<double> GuardedTransientSolver::solve(const Ctmc& chain,
-                                                  std::span<const double> pi0,
-                                                  double t) const {
-  SolverWorkspace ws;
-  std::vector<double> out(chain.num_states(), 0.0);
-  solve_into(chain, pi0, t, ws, out);
-  return out;
 }
 
 }  // namespace rsmem::markov

@@ -83,9 +83,6 @@ class GuardedTransientSolver final : public TransientSolver {
  public:
   explicit GuardedTransientSolver(SolverGuardConfig config = {});
 
-  using TransientSolver::solve;
-  std::vector<double> solve(const Ctmc& chain, std::span<const double> pi0,
-                            double t) const override;
   // Routed through the chain stage-by-stage; identical buffers/windows to
   // the underlying UniformizationSolver when no guard trips.
   void solve_into(const Ctmc& chain, std::span<const double> pi0, double t,
@@ -93,7 +90,7 @@ class GuardedTransientSolver final : public TransientSolver {
 
   const SolverGuardConfig& config() const { return config_; }
 
-  // Report of the most recent solve_into/solve on this instance. Like the
+  // Report of the most recent solve on this instance. Like the
   // solver workspaces, a guarded solver instance is per-thread state.
   const GuardedSolveReport& last_report() const { return last_report_; }
 

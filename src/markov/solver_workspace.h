@@ -1,7 +1,7 @@
 // Reusable scratch state for the transient solvers.
 //
-// Sweeps solve the same small chain at hundreds of (rate, time) points; the
-// allocating solve() entry points pay a Poisson-window recomputation and a
+// Sweeps solve the same small chain at hundreds of (rate, time) points; a
+// solve() on a fresh workspace pays a Poisson-window recomputation and a
 // handful of vector allocations per call. A SolverWorkspace owns those
 // buffers and memoizes Poisson windows by their exact (lambda,
 // truncation_error, tail_floor) key -- scrub-cycle grids share a single

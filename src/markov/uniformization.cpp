@@ -35,8 +35,8 @@ UniformizationSolver::UniformizationSolver(double truncation_error)
 
 PoissonWindow poisson_window(double lambda, double truncation_error,
                              double tail_floor) {
-  if (lambda < 0.0) {
-    throw std::invalid_argument("poisson_window: negative lambda");
+  if (!std::isfinite(lambda) || lambda < 0.0) {
+    throw std::invalid_argument("poisson_window: lambda must be finite, >= 0");
   }
   if (lambda == 0.0) {
     return {0, {1.0}};
@@ -100,15 +100,6 @@ PoissonWindow poisson_window(double lambda, double truncation_error,
   }
   for (const double w : right) window.weights.push_back(w);
   return window;
-}
-
-std::vector<double> UniformizationSolver::solve(const Ctmc& chain,
-                                                std::span<const double> pi0,
-                                                double t) const {
-  SolverWorkspace ws;
-  std::vector<double> out(pi0.size());
-  solve_into(chain, pi0, t, ws, out);
-  return out;
 }
 
 void UniformizationSolver::solve_into(const Ctmc& chain,

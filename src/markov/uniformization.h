@@ -22,13 +22,8 @@ class UniformizationSolver final : public TransientSolver {
   // `truncation_error` bounds the total discarded Poisson mass.
   explicit UniformizationSolver(double truncation_error = 1e-14);
 
-  using TransientSolver::solve;
-  std::vector<double> solve(const Ctmc& chain, std::span<const double> pi0,
-                            double t) const override;
-
-  // Zero-allocation path: uses ws.v / ws.qv for the propagation iterates
-  // and ws.poisson() for the window, writing pi(t) into `out`. Bitwise
-  // identical to solve() (which delegates here with a local workspace).
+  // Uses ws.v / ws.qv for the propagation iterates and ws.poisson() for
+  // the window, writing pi(t) into `out`.
   void solve_into(const Ctmc& chain, std::span<const double> pi0, double t,
                   SolverWorkspace& ws, std::span<double> out) const override;
 

@@ -29,15 +29,22 @@ struct BerCurve {
   std::vector<double> ber;               // scaled per eq. (1)
 };
 
-// Evaluates P_Fail over `times_hours` (must be sorted ascending) on an
-// already-built chain whose fail state is `fail_packed`. If the fail state
-// is unreachable the probabilities are identically zero.
+// Evaluates P_Fail over `times_hours` (finite, sorted ascending) on an
+// already-built chain whose fail state is `fail_packed`, solving through
+// `ws` (TransientSolver::occupancy_curve). With the default StepPolicy the
+// curve is bitwise identical to solving step by step from scratch; a
+// nonzero policy.max_dense_states enables dense step operators (~1e-13
+// relative). If the fail state is unreachable the probabilities are
+// identically zero.
 BerCurve ber_curve(const markov::StateSpace& space,
                    markov::PackedState fail_packed, double scale,
                    std::span<const double> times_hours,
-                   const markov::TransientSolver& solver);
+                   const markov::TransientSolver& solver,
+                   markov::SolverWorkspace& ws,
+                   const markov::StepPolicy& policy = {});
 
-// Convenience wrappers that build the chain from the model parameters.
+// Convenience wrappers that build the chain from the model parameters and
+// solve on a call-local workspace.
 BerCurve simplex_ber_curve(const SimplexParams& params,
                            std::span<const double> times_hours,
                            const markov::TransientSolver& solver);
@@ -45,17 +52,9 @@ BerCurve duplex_ber_curve(const DuplexParams& params,
                           std::span<const double> times_hours,
                           const markov::TransientSolver& solver);
 
-// Engine variants: the occupancy curve runs through the workspace (cached
-// Poisson windows, reused buffers) and the chain comes from `cache`
-// instead of a per-call build. With the default StepPolicy the curves are
-// bitwise identical to the overloads above; a nonzero
-// policy.max_dense_states enables dense step operators (~1e-13 relative).
-BerCurve ber_curve(const markov::StateSpace& space,
-                   markov::PackedState fail_packed, double scale,
-                   std::span<const double> times_hours,
-                   const markov::TransientSolver& solver,
-                   markov::SolverWorkspace& ws,
-                   const markov::StepPolicy& policy = {});
+// Engine variants: the chain comes from `cache` instead of a per-call
+// build, and the curve solves through the caller's workspace and policy.
+// Bitwise identical to the wrappers above at the default StepPolicy.
 BerCurve simplex_ber_curve(const SimplexParams& params,
                            std::span<const double> times_hours,
                            const markov::TransientSolver& solver,
@@ -68,6 +67,8 @@ BerCurve duplex_ber_curve(const DuplexParams& params,
                           const markov::StepPolicy& policy = {});
 
 // Evenly spaced time grid helper: `points` samples in [0, t_end_hours].
+// Throws std::invalid_argument unless points >= 2 and t_end_hours is
+// finite and positive.
 std::vector<double> time_grid_hours(double t_end_hours, std::size_t points);
 
 }  // namespace rsmem::models

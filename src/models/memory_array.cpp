@@ -3,6 +3,7 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "markov/solver_workspace.h"
 #include "markov/uniformization.h"
 
 namespace rsmem::models {
@@ -73,8 +74,9 @@ double array_mttdl_hours(const SimplexParams& params, std::size_t words,
     times[i] = horizon_hours * static_cast<double>(i) /
                static_cast<double>(kPanels);
   }
+  markov::SolverWorkspace ws;
   const std::vector<double> p_fail =
-      solver.occupancy_curve(space.chain, fail, times);
+      solver.occupancy_curve(space.chain, fail, times, ws);
 
   const double h = horizon_hours / static_cast<double>(kPanels);
   double integral = 0.0;

@@ -7,6 +7,7 @@
 
 #include "core/units.h"
 #include "markov/quasi_stationary.h"
+#include "markov/solver_workspace.h"
 #include "markov/uniformization.h"
 #include "memory/tmr_system.h"
 #include "models/baselines.h"
@@ -225,9 +226,11 @@ TEST(QuasiStationary, MatchesLateTransientHazardOfScrubbedSimplex) {
   EXPECT_GT(qs.hazard, 0.0);
 
   const UniformizationSolver solver;
+  SolverWorkspace ws;
   const std::vector<double> times{40.0, 48.0};
   const std::vector<double> p_fail = solver.occupancy_curve(
-      space.chain, space.index_of(models::SimplexModel::fail_state()), times);
+      space.chain, space.index_of(models::SimplexModel::fail_state()), times,
+      ws);
   const double empirical_hazard =
       (p_fail[1] - p_fail[0]) / (times[1] - times[0]) / (1.0 - p_fail[1]);
   EXPECT_NEAR(empirical_hazard / qs.hazard, 1.0, 1e-3);

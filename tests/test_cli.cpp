@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
 #include <vector>
 
 #include "cli/args.h"
@@ -58,6 +59,17 @@ TEST(Args, DoubleList) {
   EXPECT_DOUBLE_EQ(values[2], 3.0);
   const Args bad = parse({"sweep", "--values", "1,,2"});
   EXPECT_THROW(bad.get_double_list("values"), ArgError);
+}
+
+TEST(Args, NonFiniteNumbersAreRejected) {
+  for (const char* bad : {"nan", "NaN", "inf", "-inf", "infinity", "1e999"}) {
+    const Args args = parse({"cmd", "--x", bad});
+    EXPECT_THROW(args.get_double("x"), ArgError) << bad;
+    EXPECT_THROW(args.get_double_or("x", 1.0), ArgError) << bad;
+    const std::string list = std::string("1,") + bad;
+    const Args list_args = parse({"cmd", "--values", list.c_str()});
+    EXPECT_THROW(list_args.get_double_list("values"), ArgError) << bad;
+  }
 }
 
 TEST(Args, RequireKnownCatchesTypos) {
@@ -165,6 +177,29 @@ TEST(Cli, AnalyzeRejectsBadFlags) {
   EXPECT_NE(err.find("unknown flag"), std::string::npos);
   EXPECT_EQ(run({"analyze", "--points", "1"}, &out, &err), 2);
   EXPECT_EQ(run({"analyze", "--arrangement", "triplex"}, &out, &err), 2);
+}
+
+TEST(Cli, NonFiniteHoursExitWithUsageError) {
+  // Each of these printed silent zeros or never returned before the flags
+  // were checked for finiteness.
+  std::string out, err;
+  EXPECT_EQ(run({"analyze", "--arrangement", "duplex", "--seu", "1.7e-5",
+                 "--hours", "nan", "--points", "3"},
+                &out, &err),
+            2);
+  EXPECT_NE(err.find("--hours"), std::string::npos);
+  EXPECT_EQ(run({"analyze", "--arrangement", "duplex", "--seu", "1.7e-5",
+                 "--tsc", "900", "--periodic", "--hours", "inf", "--points",
+                 "3"},
+                &out, &err),
+            2);
+  for (const char* hours : {"nan", "inf"}) {
+    EXPECT_EQ(run({"simulate", "--arrangement", "duplex", "--seu", "0.02",
+                   "--hours", hours, "--trials", "200"},
+                  &out, &err),
+              2)
+        << hours;
+  }
 }
 
 TEST(Cli, MttfOutputsHours) {

@@ -9,6 +9,7 @@
 
 #include "gf/galois_field.h"
 #include "markov/periodic.h"
+#include "markov/solver_workspace.h"
 #include "markov/uniformization.h"
 #include "models/duplex_model.h"
 #include "models/simplex_model.h"
@@ -221,8 +222,9 @@ TEST(DeepPeriodic, IdentityJumpEqualsPlainTransient) {
   std::vector<std::size_t> identity(space.size());
   for (std::size_t i = 0; i < identity.size(); ++i) identity[i] = i;
   const std::vector<double> pi0 = space.chain.initial_distribution();
+  markov::SolverWorkspace ws;
   const auto jumped = markov::solve_with_periodic_jump(
-      space.chain, pi0, identity, 7.0, 48.0, solver);
+      space.chain, pi0, identity, 7.0, 48.0, solver, ws);
   const auto plain = solver.solve(space.chain, pi0, 48.0);
   for (std::size_t i = 0; i < plain.size(); ++i) {
     EXPECT_NEAR(jumped[i], plain[i], 1e-12);
@@ -242,9 +244,10 @@ TEST(DeepPeriodic, JumpExactlyAtQueryTimeApplies) {
   std::vector<std::size_t> reset(space.size(), space.initial_index);
   const std::size_t fail = space.index_of(models::SimplexModel::fail_state());
   reset[fail] = fail;
+  markov::SolverWorkspace ws;
   const auto pi = markov::solve_with_periodic_jump(
       space.chain, space.chain.initial_distribution(), reset, 10.0, 10.0,
-      solver);
+      solver, ws);
   // All surviving mass is back at the initial state.
   EXPECT_NEAR(pi[space.initial_index] + pi[fail], 1.0, 1e-10);
   EXPECT_GT(pi[space.initial_index], 0.99);

@@ -7,6 +7,7 @@
 
 #include "markov/ctmc.h"
 #include "markov/rk45.h"
+#include "markov/solver_workspace.h"
 #include "markov/state_space.h"
 #include "markov/uniformization.h"
 
@@ -231,16 +232,18 @@ TEST(TransientSolver, OccupancyCurveIncremental) {
   const UniformizationSolver solver;
   const double mu = 0.9;
   const Ctmc chain = two_state(mu);
+  SolverWorkspace ws;
   const std::vector<double> times{0.0, 0.5, 1.0, 3.0, 3.0, 7.0};
-  const auto curve = solver.occupancy_curve(chain, 1, times);
+  const auto curve = solver.occupancy_curve(chain, 1, times, ws);
   ASSERT_EQ(curve.size(), times.size());
   for (std::size_t i = 0; i < times.size(); ++i) {
     EXPECT_NEAR(curve[i], 1.0 - std::exp(-mu * times[i]), 1e-11);
   }
   const std::vector<double> unsorted{1.0, 0.5};
-  EXPECT_THROW(solver.occupancy_curve(chain, 1, unsorted),
+  EXPECT_THROW(solver.occupancy_curve(chain, 1, unsorted, ws),
                std::invalid_argument);
-  EXPECT_THROW(solver.occupancy_curve(chain, 9, times), std::invalid_argument);
+  EXPECT_THROW(solver.occupancy_curve(chain, 9, times, ws),
+               std::invalid_argument);
 }
 
 // ---- state-space builder ----

@@ -8,6 +8,7 @@
 
 #include "core/units.h"
 #include "markov/periodic.h"
+#include "markov/solver_workspace.h"
 #include "markov/uniformization.h"
 #include "models/detection_model.h"
 #include "models/memory_array.h"
@@ -121,17 +122,18 @@ TEST(PeriodicJump, ValidatesInputs) {
   const markov::StateSpace space = SimplexModel{p}.build();
   const markov::UniformizationSolver solver;
   const std::vector<double> pi0 = space.chain.initial_distribution();
+  markov::SolverWorkspace ws;
   std::vector<std::size_t> map(space.size(), 0);
   EXPECT_THROW(markov::solve_with_periodic_jump(space.chain, pi0, map, 0.0,
-                                                1.0, solver),
+                                                1.0, solver, ws),
                std::invalid_argument);
   map[0] = space.size();  // out of range
   EXPECT_THROW(markov::solve_with_periodic_jump(space.chain, pi0, map, 1.0,
-                                                1.0, solver),
+                                                1.0, solver, ws),
                std::invalid_argument);
   std::vector<std::size_t> short_map(space.size() - 1, 0);
   EXPECT_THROW(markov::solve_with_periodic_jump(space.chain, pi0, short_map,
-                                                1.0, 1.0, solver),
+                                                1.0, 1.0, solver, ws),
                std::invalid_argument);
 }
 

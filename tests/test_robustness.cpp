@@ -5,6 +5,7 @@
 
 #include <atomic>
 #include <cmath>
+#include <limits>
 #include <stdexcept>
 #include <vector>
 
@@ -14,12 +15,14 @@
 #include "core/status.h"
 #include "linalg/csr_matrix.h"
 #include "markov/ctmc.h"
+#include "markov/periodic.h"
 #include "markov/solver_guard.h"
 #include "markov/solver_workspace.h"
 #include "markov/uniformization.h"
 #include "memory/degradation.h"
 #include "memory/duplex_system.h"
 #include "memory/simplex_system.h"
+#include "models/ber.h"
 #include "rs/reed_solomon.h"
 #include "sim/thread_pool.h"
 
@@ -167,6 +170,83 @@ TEST(ConfigValidation, TryApiMatchesThrowingApiOnValidSpec) {
   const core::Result<double> mttf = try_mttf_hours(spec);
   ASSERT_TRUE(mttf.ok());
   EXPECT_EQ(mttf.value(), mttf_hours(spec));
+}
+
+// ---- non-finite times and horizons ----
+
+constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+constexpr double kInf = std::numeric_limits<double>::infinity();
+
+TEST(NonFiniteTimes, TryApiReturnsInvalidConfig) {
+  core::MemorySystemSpec duplex = valid_spec();
+  duplex.arrangement = analysis::Arrangement::kDuplex;
+  core::MemorySystemSpec zero_rates;  // Fail unreachable: BER would be 0
+  for (const core::MemorySystemSpec& spec :
+       {valid_spec(), duplex, zero_rates}) {
+    for (const double bad : {kNaN, kInf, -kInf}) {
+      const double times[] = {1.0, bad};
+      EXPECT_EQ(try_analyze_ber(spec, times).status().code(),
+                StatusCode::kInvalidConfig)
+          << bad;
+      EXPECT_EQ(try_fail_probability(spec, bad).status().code(),
+                StatusCode::kInvalidConfig)
+          << bad;
+    }
+  }
+}
+
+TEST(NonFiniteTimes, PeriodicScrubReturnsInsteadOfLooping) {
+  // +inf used to spin forever in the scrub-cycle loop; NaN gave 0.
+  core::MemorySystemSpec spec = valid_spec();
+  spec.arrangement = analysis::Arrangement::kDuplex;
+  for (const double bad : {kNaN, kInf, -kInf}) {
+    const double times[] = {bad};
+    EXPECT_EQ(try_analyze_ber_periodic_scrub(spec, times).status().code(),
+              StatusCode::kInvalidConfig)
+        << bad;
+  }
+}
+
+TEST(NonFiniteTimes, SimulateRejectsBadHorizon) {
+  core::MemorySystemSpec spec = valid_spec();
+  spec.seu_rate_per_bit_day = 0.02;
+  for (const auto arrangement :
+       {analysis::Arrangement::kSimplex, analysis::Arrangement::kDuplex}) {
+    spec.arrangement = arrangement;
+    for (const double bad : {kNaN, kInf, -kInf, -1.0}) {
+      analysis::MonteCarloConfig config;
+      config.trials = 8;
+      config.t_end_hours = bad;
+      EXPECT_EQ(try_simulate(spec, config).status().code(),
+                StatusCode::kInvalidConfig)
+          << bad;
+    }
+  }
+}
+
+TEST(NonFiniteTimes, WalksAndGridRejectThem) {
+  const markov::Ctmc chain(linalg::CsrMatrix(2, 2, {{0, 0, -1.0}, {0, 1, 1.0}}),
+                           0);
+  const markov::UniformizationSolver solver;
+  markov::SolverWorkspace ws;
+  const std::vector<std::size_t> identity{0, 1};
+  const std::vector<double> pi0 = chain.initial_distribution();
+  for (const double bad : {kNaN, kInf}) {
+    const std::vector<double> times{0.5, bad};
+    EXPECT_THROW(solver.occupancy_curve(chain, 1, times, ws),
+                 std::invalid_argument);
+    EXPECT_THROW(markov::occupancy_with_periodic_jump(chain, 1, identity, 0.5,
+                                                      times, solver, ws),
+                 std::invalid_argument);
+    EXPECT_THROW(markov::solve_with_periodic_jump(chain, pi0, identity, 0.5,
+                                                  bad, solver, ws),
+                 std::invalid_argument);
+    EXPECT_THROW(markov::solve_with_periodic_jump(chain, pi0, identity, bad,
+                                                  1.0, solver, ws),
+                 std::invalid_argument);
+    EXPECT_THROW(models::time_grid_hours(bad, 3), std::invalid_argument);
+    EXPECT_THROW(solver.solve(chain, pi0, bad), std::invalid_argument);
+  }
 }
 
 // ---- thread-pool exception propagation ----

@@ -1,7 +1,8 @@
 // Tests for the solver workspace layer: solve_into vs the allocating
 // solve(), Poisson-window caching, dense step operators, and the
 // incremental periodic-jump evaluation -- all on the chains the paper's
-// figures actually solve.
+// figures actually solve. The walks are checked against test-local loops
+// of per-step solve() calls, each on a fresh workspace.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -44,6 +45,52 @@ models::DuplexParams duplex_params() {
 
 std::vector<double> grid(double t_end, std::size_t points) {
   return models::time_grid_hours(t_end, points);
+}
+
+// Reference occupancy walk: one solve() -- a fresh workspace -- per grid
+// step, chaining the distribution forward.
+std::vector<double> occupancy_by_solve(const TransientSolver& solver,
+                                       const Ctmc& chain, std::size_t state,
+                                       const std::vector<double>& times) {
+  std::vector<double> out;
+  std::vector<double> pi = chain.initial_distribution();
+  double t_prev = 0.0;
+  for (const double t : times) {
+    if (t > t_prev) {
+      pi = solver.solve(chain, pi, t - t_prev);
+      t_prev = t;
+    }
+    out.push_back(pi[state]);
+  }
+  return out;
+}
+
+// Reference periodic-jump solve from pi0: one solve() per scrub cycle,
+// then the remainder, with the jump applied first at a jump instant.
+std::vector<double> periodic_by_solve(const TransientSolver& solver,
+                                      const Ctmc& chain,
+                                      const std::vector<double>& pi0,
+                                      const std::vector<std::size_t>& jump_map,
+                                      double period, double t) {
+  const auto jump = [&](std::vector<double>& pi) {
+    std::vector<double> next(pi.size(), 0.0);
+    for (std::size_t s = 0; s < pi.size(); ++s) next[jump_map[s]] += pi[s];
+    pi.swap(next);
+  };
+  std::vector<double> pi = pi0;
+  double now = 0.0;
+  const double eps = period * 1e-9;
+  while (t - now > period - eps) {
+    pi = solver.solve(chain, pi, period);
+    jump(pi);
+    now += period;
+  }
+  if (t - now > eps) {
+    const double rest = t - now;
+    pi = solver.solve(chain, pi, rest);
+    if (std::fabs(rest - period) <= eps) jump(pi);
+  }
+  return pi;
 }
 
 TEST(SolverWorkspace, SolveIntoBitwiseMatchesSolveUniformization) {
@@ -119,7 +166,7 @@ TEST(SolverWorkspace, OccupancyCurveDefaultPolicyBitwise) {
   const std::size_t fail = space.index_of(models::DuplexModel::fail_state());
   const std::vector<double> times = grid(48.0, 25);
   const std::vector<double> ref =
-      solver.occupancy_curve(space.chain, fail, times);
+      occupancy_by_solve(solver, space.chain, fail, times);
   const std::vector<double> got =
       solver.occupancy_curve(space.chain, fail, times, ws);
   EXPECT_EQ(ref, got);
@@ -134,7 +181,7 @@ TEST(SolverWorkspace, OccupancyCurveDensePolicyClose) {
   // operator actually engages.
   const std::vector<double> times = grid(48.0, 200);
   const std::vector<double> ref =
-      solver.occupancy_curve(space.chain, fail, times);
+      occupancy_by_solve(solver, space.chain, fail, times);
   const std::vector<double> got =
       solver.occupancy_curve(space.chain, fail, times, ws, StepPolicy{256});
   ASSERT_EQ(ref.size(), got.size());
@@ -191,23 +238,33 @@ struct PeriodicFixture {
   }
 };
 
+// Fail occupancy at each time, every point solved from pi(0) by
+// periodic_by_solve.
+std::vector<double> periodic_occupancy_by_solve(
+    const PeriodicFixture& fx, double period,
+    const std::vector<double>& times, const TransientSolver& solver) {
+  std::vector<double> out;
+  for (const double t : times) {
+    out.push_back(periodic_by_solve(solver, fx.space.chain,
+                                    fx.space.chain.initial_distribution(),
+                                    fx.jump_map, period, t)[fx.fail_index]);
+  }
+  return out;
+}
+
 TEST(PeriodicIncremental, OccupancyBitwiseMatchesFromScratch) {
   const PeriodicFixture fx;
   const UniformizationSolver solver;
   const double period = 0.25;  // 900 s in hours
+  SolverWorkspace ws;
   const std::vector<double> times = grid(12.0, 20);
   // From-scratch reference: restart at pi(0) for every query point, which
   // is what occupancy_with_periodic_jump did before the incremental
   // rewrite.
-  std::vector<double> ref;
-  for (const double t : times) {
-    const std::vector<double> pi = solve_with_periodic_jump(
-        fx.space.chain, fx.space.chain.initial_distribution(), fx.jump_map,
-        period, t, solver);
-    ref.push_back(pi[fx.fail_index]);
-  }
+  const std::vector<double> ref =
+      periodic_occupancy_by_solve(fx, period, times, solver);
   const std::vector<double> got = occupancy_with_periodic_jump(
-      fx.space.chain, fx.fail_index, fx.jump_map, period, times, solver);
+      fx.space.chain, fx.fail_index, fx.jump_map, period, times, solver, ws);
   EXPECT_EQ(ref, got);
 }
 
@@ -218,13 +275,15 @@ TEST(PeriodicIncremental, QueryAtJumpInstantAndBetween) {
   const PeriodicFixture fx;
   const UniformizationSolver solver;
   const double period = 0.5;
+  SolverWorkspace ws;
   const std::vector<double> times{0.0, 0.5, 0.75, 1.0, 1.5, 1.5 + 0.25, 2.0};
   const std::vector<double> got = occupancy_with_periodic_jump(
-      fx.space.chain, fx.fail_index, fx.jump_map, period, times, solver);
+      fx.space.chain, fx.fail_index, fx.jump_map, period, times, solver, ws);
   for (std::size_t i = 0; i < times.size(); ++i) {
-    const std::vector<double> pi = solve_with_periodic_jump(
-        fx.space.chain, fx.space.chain.initial_distribution(), fx.jump_map,
-        period, times[i], solver);
+    const std::vector<double> pi =
+        periodic_by_solve(solver, fx.space.chain,
+                          fx.space.chain.initial_distribution(), fx.jump_map,
+                          period, times[i]);
     EXPECT_EQ(got[i], pi[fx.fail_index]) << "t=" << times[i];
   }
 }
@@ -235,15 +294,16 @@ TEST(PeriodicIncremental, WorkspaceDefaultPolicyBitwise) {
   SolverWorkspace ws;
   const double period = 0.25;
   const std::vector<double> times = grid(12.0, 20);
-  const std::vector<double> plain = occupancy_with_periodic_jump(
-      fx.space.chain, fx.fail_index, fx.jump_map, period, times, solver);
+  const std::vector<double> plain = periodic_occupancy_by_solve(fx, period,
+                                                                times, solver);
   const std::vector<double> with_ws = occupancy_with_periodic_jump(
       fx.space.chain, fx.fail_index, fx.jump_map, period, times, solver, ws);
   EXPECT_EQ(plain, with_ws);
 
-  const std::vector<double> pi_plain = solve_with_periodic_jump(
-      fx.space.chain, fx.space.chain.initial_distribution(), fx.jump_map,
-      period, 7.3, solver);
+  const std::vector<double> pi_plain =
+      periodic_by_solve(solver, fx.space.chain,
+                        fx.space.chain.initial_distribution(), fx.jump_map,
+                        period, 7.3);
   const std::vector<double> pi_ws = solve_with_periodic_jump(
       fx.space.chain, fx.space.chain.initial_distribution(), fx.jump_map,
       period, 7.3, solver, ws);
@@ -256,8 +316,8 @@ TEST(PeriodicIncremental, WorkspaceDensePolicyClose) {
   SolverWorkspace ws;
   const double period = 0.25;  // 48 cycles over 12 h >> n states
   const std::vector<double> times = grid(12.0, 20);
-  const std::vector<double> plain = occupancy_with_periodic_jump(
-      fx.space.chain, fx.fail_index, fx.jump_map, period, times, solver);
+  const std::vector<double> plain = periodic_occupancy_by_solve(fx, period,
+                                                                times, solver);
   const std::vector<double> dense = occupancy_with_periodic_jump(
       fx.space.chain, fx.fail_index, fx.jump_map, period, times, solver, ws,
       StepPolicy{256});

@@ -6,6 +6,7 @@
 
 #include "core/api.h"
 #include "core/units.h"
+#include "markov/solver_workspace.h"
 #include "markov/uniformization.h"
 #include "models/ber.h"
 #include "models/duplex_model.h"
@@ -31,10 +32,11 @@ TEST(Stress, DuplexRs3616ChainBuildsAndSolves) {
   EXPECT_LT(space.size(), 2'000'000u);
 
   const markov::UniformizationSolver solver;
+  markov::SolverWorkspace ws;
   const std::vector<double> times{48.0};
   const models::BerCurve curve = models::ber_curve(
       space, models::DuplexModel::fail_state(),
-      models::ber_scale(36, 16, 8), times, solver);
+      models::ber_scale(36, 16, 8), times, solver, ws);
   EXPECT_GE(curve.fail_probability[0], 0.0);
   EXPECT_LT(curve.fail_probability[0], 1e-3);  // wide code, mild rates
   const auto elapsed = std::chrono::steady_clock::now() - start;

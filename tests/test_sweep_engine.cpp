@@ -1,15 +1,21 @@
 // Equivalence tests for the parallel sweep engine: the cached/parallel
-// path must reproduce the legacy serial per-point path for every figure
+// path must reproduce a serial per-point build-and-solve for every figure
 // workload of the paper, identically across thread counts, and the chain
 // cache's replayed generators must be bitwise equal to direct builds.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstddef>
+#include <cstdio>
+#include <span>
+#include <string>
 #include <vector>
 
 #include "analysis/code_search.h"
 #include "analysis/experiment.h"
+#include "core/units.h"
+#include "markov/uniformization.h"
+#include "models/ber.h"
 #include "models/chain_cache.h"
 #include "models/duplex_model.h"
 #include "models/simplex_model.h"
@@ -17,9 +23,105 @@
 namespace rsmem::analysis {
 namespace {
 
-constexpr SweepOptions kLegacy{1, false};
-constexpr SweepOptions kEngine1{1, true};
-constexpr SweepOptions kEngine4{4, true};
+constexpr SweepOptions kEngine1{1};
+constexpr SweepOptions kEngine4{4};
+
+// Serial reference: one curve per rate point, each chain built and solved
+// from scratch by the convenience wrappers (rates per hour).
+struct RefPoint {
+  std::string label;
+  double seu_per_hour = 0.0;
+  double erasure_per_hour = 0.0;
+  double scrub_per_hour = 0.0;
+};
+
+std::vector<Series> reference_sweep(Arrangement arrangement,
+                                    const CodeSpec& code,
+                                    const std::vector<RefPoint>& points,
+                                    const std::vector<double>& times_hours,
+                                    const std::vector<double>& x) {
+  const markov::UniformizationSolver solver;
+  std::vector<Series> series;
+  for (const RefPoint& point : points) {
+    models::BerCurve curve;
+    if (arrangement == Arrangement::kSimplex) {
+      models::SimplexParams p;
+      p.n = code.n;
+      p.k = code.k;
+      p.m = code.m;
+      p.seu_rate_per_bit_hour = point.seu_per_hour;
+      p.erasure_rate_per_symbol_hour = point.erasure_per_hour;
+      p.scrub_rate_per_hour = point.scrub_per_hour;
+      curve = models::simplex_ber_curve(p, times_hours, solver);
+    } else {
+      models::DuplexParams p;
+      p.n = code.n;
+      p.k = code.k;
+      p.m = code.m;
+      p.seu_rate_per_bit_hour = point.seu_per_hour;
+      p.erasure_rate_per_symbol_hour = point.erasure_per_hour;
+      p.scrub_rate_per_hour = point.scrub_per_hour;
+      curve = models::duplex_ber_curve(p, times_hours, solver);
+    }
+    series.push_back({point.label, x, curve.ber});
+  }
+  return series;
+}
+
+std::string rate_label(double v) {
+  char buf[32];
+  std::snprintf(buf, sizeof buf, "%.1E", v);
+  return buf;
+}
+
+std::vector<Series> reference_seu_sweep(Arrangement arrangement,
+                                        const CodeSpec& code,
+                                        std::span<const double> seu_per_day,
+                                        double t_end_hours,
+                                        std::size_t points) {
+  std::vector<RefPoint> refs;
+  for (const double r : seu_per_day) {
+    refs.push_back({"lambda=" + rate_label(r) + "/bit/day",
+                    core::per_day_to_per_hour(r)});
+  }
+  const std::vector<double> times =
+      models::time_grid_hours(t_end_hours, points);
+  return reference_sweep(arrangement, code, refs, times, times);
+}
+
+std::vector<Series> reference_scrub_sweep(Arrangement arrangement,
+                                          const CodeSpec& code,
+                                          double seu_per_day,
+                                          std::span<const double> periods_s,
+                                          double t_end_hours,
+                                          std::size_t points) {
+  std::vector<RefPoint> refs;
+  for (const double period : periods_s) {
+    char label[32];
+    std::snprintf(label, sizeof label, "Tsc=%.0f s", period);
+    refs.push_back({label, core::per_day_to_per_hour(seu_per_day), 0.0,
+                    core::scrub_rate_per_hour(period)});
+  }
+  const std::vector<double> times =
+      models::time_grid_hours(t_end_hours, points);
+  return reference_sweep(arrangement, code, refs, times, times);
+}
+
+std::vector<Series> reference_permanent_sweep(
+    Arrangement arrangement, const CodeSpec& code,
+    std::span<const double> erasure_per_day, double t_end_months,
+    std::size_t points) {
+  std::vector<RefPoint> refs;
+  for (const double r : erasure_per_day) {
+    refs.push_back({"lambda_e=" + rate_label(r) + "/sym/day", 0.0,
+                    core::per_day_to_per_hour(r)});
+  }
+  const std::vector<double> times =
+      models::time_grid_hours(core::months_to_hours(t_end_months), points);
+  std::vector<double> months;
+  for (const double t : times) months.push_back(core::hours_to_months(t));
+  return reference_sweep(arrangement, code, refs, times, months);
+}
 
 double max_rel_diff(const std::vector<Series>& a,
                     const std::vector<Series>& b) {
@@ -58,8 +160,8 @@ constexpr double kScrubPeriods[] = {900.0, 1200.0, 1800.0, 3600.0};
 
 TEST(SweepEngine, Fig5SimplexSeuMatchesLegacy) {
   const CodeSpec code{18, 16, 8};
-  const auto legacy = seu_rate_sweep(Arrangement::kSimplex, code, kSeuRates,
-                                     48.0, kPoints, kLegacy);
+  const auto legacy = reference_seu_sweep(Arrangement::kSimplex, code,
+                                          kSeuRates, 48.0, kPoints);
   const auto engine = seu_rate_sweep(Arrangement::kSimplex, code, kSeuRates,
                                      48.0, kPoints, kEngine4);
   EXPECT_LE(max_rel_diff(legacy, engine), 1e-12);
@@ -67,8 +169,8 @@ TEST(SweepEngine, Fig5SimplexSeuMatchesLegacy) {
 
 TEST(SweepEngine, Fig6DuplexSeuMatchesLegacy) {
   const CodeSpec code{18, 16, 8};
-  const auto legacy = seu_rate_sweep(Arrangement::kDuplex, code, kSeuRates,
-                                     48.0, kPoints, kLegacy);
+  const auto legacy = reference_seu_sweep(Arrangement::kDuplex, code,
+                                          kSeuRates, 48.0, kPoints);
   const auto engine = seu_rate_sweep(Arrangement::kDuplex, code, kSeuRates,
                                      48.0, kPoints, kEngine4);
   EXPECT_LE(max_rel_diff(legacy, engine), 1e-12);
@@ -76,8 +178,8 @@ TEST(SweepEngine, Fig6DuplexSeuMatchesLegacy) {
 
 TEST(SweepEngine, Fig7DuplexScrubbingMatchesLegacy) {
   const CodeSpec code{18, 16, 8};
-  const auto legacy = scrub_period_sweep(Arrangement::kDuplex, code, 1.7e-5,
-                                         kScrubPeriods, 48.0, kPoints, kLegacy);
+  const auto legacy = reference_scrub_sweep(Arrangement::kDuplex, code, 1.7e-5,
+                                            kScrubPeriods, 48.0, kPoints);
   const auto engine = scrub_period_sweep(Arrangement::kDuplex, code, 1.7e-5,
                                          kScrubPeriods, 48.0, kPoints,
                                          kEngine4);
@@ -89,7 +191,7 @@ TEST(SweepEngine, Fig8And9PermanentMatchesLegacy) {
   for (const Arrangement arr :
        {Arrangement::kSimplex, Arrangement::kDuplex}) {
     const auto legacy =
-        permanent_rate_sweep(arr, code, kPermRates, 24.0, kPoints, kLegacy);
+        reference_permanent_sweep(arr, code, kPermRates, 24.0, kPoints);
     const auto engine =
         permanent_rate_sweep(arr, code, kPermRates, 24.0, kPoints, kEngine4);
     EXPECT_LE(max_rel_diff(legacy, engine), 1e-12) << to_string(arr);
@@ -98,8 +200,8 @@ TEST(SweepEngine, Fig8And9PermanentMatchesLegacy) {
 
 TEST(SweepEngine, Fig10Rs3616PermanentMatchesLegacy) {
   const CodeSpec wide{36, 16, 8};
-  const auto legacy = permanent_rate_sweep(Arrangement::kSimplex, wide,
-                                           kPermRates, 24.0, kPoints, kLegacy);
+  const auto legacy = reference_permanent_sweep(Arrangement::kSimplex, wide,
+                                                kPermRates, 24.0, kPoints);
   const auto engine = permanent_rate_sweep(Arrangement::kSimplex, wide,
                                            kPermRates, 24.0, kPoints, kEngine4);
   EXPECT_LE(max_rel_diff(legacy, engine), 1e-12);
