@@ -337,8 +337,8 @@ BENCHMARK(BM_BuildDuplexChain);
 BENCHMARK(BM_SolveDuplex48hScrubbed);
 
 // Plane pairs: scalar control first, then whatever the dispatcher picks
-// (on a nosimd build both rows run the scalar loops — the pair then
-// documents that the control IS the product).
+// (where no vector backend is available both rows run the scalar loops —
+// the pair then documents that the control IS the product).
 #define RSMEM_BENCH_PLANE_PAIR(fn, tag, code_fn, count)              \
   BENCHMARK_CAPTURE(fn, tag##_scalar, code_fn(),                     \
                     gf::simd::Backend::kScalar, count);              \

@@ -140,9 +140,6 @@ int cmd_version(std::ostream& out) {
 #else
       << "debug"
 #endif
-#if defined(RSMEM_DISABLE_SIMD)
-      << " (RSMEM_DISABLE_SIMD)"
-#endif
       << "\n"
       // The process-wide kernel selection (one backend per process; see
       // gf/simd_mul.h). `scalar` means the codec runs its original loops.
@@ -597,8 +594,7 @@ int cmd_serve(const Args& args, std::ostream& out) {
       << sim::ThreadPool::resolve(config.router.scheduler.threads)
       << " max-queue=" << config.router.scheduler.max_queue
       << " cache=" << config.router.scheduler.cache_capacity
-      << " batch=" << config.router.scheduler.batch_max
-      << " queue=" << service::kQueueBackendName << ")\n";
+      << " batch=" << config.router.scheduler.batch_max << ")\n";
   out.flush();
 
   g_serve_interrupted = 0;

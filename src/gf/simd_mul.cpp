@@ -131,8 +131,8 @@ Backend select_backend() {
   if (backend_supported(Backend::kGfni)) return Backend::kGfni;
   if (backend_supported(Backend::kAvx2)) return Backend::kAvx2;
   if (backend_supported(Backend::kSsse3)) return Backend::kSsse3;
-  // No vector backend (a -DRSMEM_DISABLE_SIMD=ON build compiles none in):
-  // the codec runs its original scalar loops.
+  // No vector backend (none compiled in, or none this CPU runs): the
+  // codec runs its original scalar loops.
   return Backend::kScalar;
 }
 

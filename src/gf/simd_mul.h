@@ -25,8 +25,8 @@
 //            the PSHUFB backends need two shuffles plus mask/shift/xor.
 //
 // DISPATCH / ONE-BACKEND-PER-PROCESS RULE: the backend is chosen once, on
-// first use, by select_backend() — compile-time gates (RSMEM_DISABLE_SIMD,
-// per-arch availability), then the RSMEM_GF_BACKEND environment knob
+// first use, by select_backend() — compile-time per-arch availability,
+// then the RSMEM_GF_BACKEND environment knob
 // (scalar|ssse3|avx2|gfni|auto), then CPUID feature detection, best first
 // (gfni > avx2 > ssse3), falling back to scalar on hosts with none.
 // All threads share the selected kernel table for the life of the process.
@@ -132,9 +132,9 @@ inline std::uint8_t mul_one(const MulTables& t, std::uint8_t x) {
 }
 
 // Internal: per-backend kernel tables. kSsse3/kAvx2/kGfni return nullptr
-// when the translation unit was not compiled (non-x86, an old compiler, or
-// RSMEM_DISABLE_SIMD). A non-null table only proves the backend is compiled
-// in — backend_supported() additionally checks the host CPU.
+// when the translation unit was not compiled (non-x86 or an old compiler).
+// A non-null table only proves the backend is compiled in —
+// backend_supported() additionally checks the host CPU.
 const Kernels* scalar_kernels();
 const Kernels* ssse3_kernels();
 const Kernels* avx2_kernels();

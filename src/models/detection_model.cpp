@@ -1,6 +1,9 @@
 #include "models/detection_model.h"
 
 #include <stdexcept>
+#include <utility>
+
+#include "markov/solver_workspace.h"
 
 namespace rsmem::models {
 
@@ -102,17 +105,17 @@ markov::StateSpace DetectionModel::build() const {
 std::vector<double> DetectionModel::fail_probability(
     const markov::StateSpace& space, std::span<const double> times_hours,
     const markov::TransientSolver& solver) const {
+  markov::check_query_times(times_hours);
   std::vector<double> result;
   result.reserve(times_hours.size());
+  markov::SolverWorkspace ws;
   std::vector<double> pi = space.chain.initial_distribution();
+  std::vector<double> next(pi.size());
   double t_prev = 0.0;
   for (const double t : times_hours) {
-    if (t < t_prev) {
-      throw std::invalid_argument(
-          "DetectionModel::fail_probability: times must be sorted");
-    }
     if (t > t_prev) {
-      pi = solver.solve(space.chain, pi, t - t_prev);
+      solver.solve_into(space.chain, pi, t - t_prev, ws, next);
+      std::swap(pi, next);
       t_prev = t;
     }
     double unrecoverable_mass = 0.0;

@@ -79,7 +79,8 @@ class DetectionModel final : public markov::TransitionModel {
   markov::StateSpace build() const;
 
   // P(read fails at t) = total probability of unrecoverable states, for
-  // each (sorted ascending) time.
+  // each time. Throws std::invalid_argument unless the times are finite,
+  // non-negative and sorted ascending (markov::check_query_times).
   std::vector<double> fail_probability(const markov::StateSpace& space,
                                        std::span<const double> times_hours,
                                        const markov::TransientSolver& solver)

@@ -23,8 +23,8 @@
 // batch plane APIs run on the runtime-dispatched SIMD kernel layer
 // (gf/simd_mul.h: GFNI affine or PSHUFB/AVX2 split-nibble multiply). When
 // the selected backend is `scalar` (RSMEM_GF_BACKEND=scalar, a host without
-// SSSE3, or a -DRSMEM_DISABLE_SIMD=ON build) every call runs the original
-// scalar loops instead. All backends are bit-identical: same outcomes, same
+// SSSE3, or a non-x86 build) every call runs the original scalar loops
+// instead. All backends are bit-identical: same outcomes, same
 // corrected words, same thrown errors.
 //
 // The independent implementations this codec is checked against — the

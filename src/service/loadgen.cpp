@@ -481,7 +481,6 @@ Json shard_scaling_json(const std::vector<ShardScalingPoint>& points) {
   JsonObject object;
   object.emplace("cores", static_cast<double>(
                               std::thread::hardware_concurrency()));
-  object.emplace("queue_backend", std::string(kQueueBackendName));
   object.emplace("points", Json(std::move(entries)));
   return Json(std::move(object));
 }

@@ -109,9 +109,9 @@ std::uint64_t cache_key_hash(std::string_view canonical_key);
 // Stats schema note: a sharded server's `stats` response keeps the
 // merged `scheduler`/`cache` objects (counter sums; max_batch is a max)
 // at the top level for backwards compatibility and adds `shard_count`,
-// `queue_backend` ("lockfree" | "mutex"), `rejected_global` (backstop
-// rejections that never reached a shard), and a `shards` array with one
-// {scheduler, cache} object per shard, in shard-index order.
+// `rejected_global` (backstop rejections that never reached a shard), and
+// a `shards` array with one {scheduler, cache} object per shard, in
+// shard-index order.
 std::uint32_t shard_of_key(std::string_view canonical_key,
                            std::uint32_t shard_count);
 

@@ -155,7 +155,6 @@ AnalysisScheduler::AnalysisScheduler(const SchedulerConfig& config)
                                               : config.max_queue / 4),
       cache_(config.cache_capacity),
       pool_(config.threads),
-      pending_(config.max_queue),
       last_progress_ns_(steady_now_ns()),
       dispatcher_([this] { dispatcher_loop(); }) {}
 
@@ -172,17 +171,10 @@ core::Status AnalysisScheduler::submit(Request request,
   pending.request = std::move(request);
   pending.done = std::move(done);
 
-  // Quiescence barrier: stop() waits for in-flight submits before its
-  // final drain, so a push racing with shutdown is never stranded.
-  submits_in_flight_.fetch_add(1, std::memory_order_acq_rel);
-  const auto leave_submit = [this] {
-    submits_in_flight_.fetch_sub(1, std::memory_order_release);
-    submits_in_flight_.notify_all();
-  };
-
+  // Checked before the brown-out branch so a stopped shard never serves
+  // an inline hit; re-checked under the lock before the push.
   if (stopping_.load(std::memory_order_acquire)) {
     stats_.rejected_overload.fetch_add(1, std::memory_order_relaxed);
-    leave_submit();
     return core::Status::overloaded("scheduler stopping");
   }
 
@@ -215,12 +207,10 @@ core::Status AnalysisScheduler::submit(Request request,
         stats_.completed.fetch_add(1, std::memory_order_relaxed);
         stats_.brownout_hits.fetch_add(1, std::memory_order_relaxed);
         note_progress();
-        leave_submit();
         pending.done(std::move(response));
         return core::Status::ok();
       }
       stats_.brownout_shed.fetch_add(1, std::memory_order_relaxed);
-      leave_submit();
       return core::Status::brownout(
           "shard in brown-out (" + std::to_string(depth) +
           " in flight): shedding cache-miss work, hits still served; "
@@ -228,30 +218,24 @@ core::Status AnalysisScheduler::submit(Request request,
           " ms");
     }
   }
-  // Reserve a queue slot before pushing: the counter is an upper bound on
-  // ring occupancy, so the ring (capacity >= max_queue) can never refuse
-  // a reserved push.
-  const std::size_t depth =
-      pending_count_.fetch_add(1, std::memory_order_acq_rel);
-  if (depth >= config_.max_queue) {
-    pending_count_.fetch_sub(1, std::memory_order_release);
-    stats_.rejected_overload.fetch_add(1, std::memory_order_relaxed);
-    leave_submit();
-    return core::Status::overloaded(
-        "request queue full (" + std::to_string(depth) + "/" +
-        std::to_string(config_.max_queue) + " pending); retry with backoff");
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    if (stopping_.load()) {
+      stats_.rejected_overload.fetch_add(1, std::memory_order_relaxed);
+      return core::Status::overloaded("scheduler stopping");
+    }
+    const std::size_t depth = pending_.size();
+    if (depth >= config_.max_queue) {
+      stats_.rejected_overload.fetch_add(1, std::memory_order_relaxed);
+      return core::Status::overloaded(
+          "request queue full (" + std::to_string(depth) + "/" +
+          std::to_string(config_.max_queue) +
+          " pending); retry with backoff");
+    }
+    pending_.push_back(std::move(pending));
+    stats_.accepted.fetch_add(1, std::memory_order_relaxed);
   }
-  if (!pending_.try_push(std::move(pending))) {
-    // Unreachable by construction; kept as a typed failure, never a drop.
-    pending_count_.fetch_sub(1, std::memory_order_release);
-    stats_.rejected_overload.fetch_add(1, std::memory_order_relaxed);
-    leave_submit();
-    return core::Status::overloaded("request ring rejected push");
-  }
-  stats_.accepted.fetch_add(1, std::memory_order_relaxed);
-  work_epoch_.fetch_add(1, std::memory_order_release);
-  work_epoch_.notify_one();
-  leave_submit();
+  work_ready_.notify_one();
   return core::Status::ok();
 }
 
@@ -259,20 +243,18 @@ void AnalysisScheduler::dispatcher_loop() {
   std::vector<Pending> batch;
   batch.reserve(config_.batch_max);
   for (;;) {
-    // Snapshot the epoch BEFORE draining: a push that lands after the
-    // drain bumps the epoch past the snapshot, so the wait below returns
-    // immediately instead of missing the wake-up.
-    const std::uint64_t epoch = work_epoch_.load(std::memory_order_acquire);
     batch.clear();
-    Pending item;
-    while (batch.size() < config_.batch_max && pending_.try_pop(item)) {
-      pending_count_.fetch_sub(1, std::memory_order_release);
-      batch.push_back(std::move(item));
-    }
-    if (batch.empty()) {
-      if (stopping_.load(std::memory_order_acquire)) return;
-      work_epoch_.wait(epoch, std::memory_order_acquire);
-      continue;
+    {
+      std::unique_lock<std::mutex> lock(mutex_);
+      work_ready_.wait(lock, [this] {
+        return !pending_.empty() || stopping_.load();
+      });
+      // Exits only on an empty queue after stop(): no push can follow.
+      if (pending_.empty()) return;
+      do {
+        batch.push_back(std::move(pending_.front()));
+        pending_.pop_front();
+      } while (!pending_.empty() && batch.size() < config_.batch_max);
     }
     dispatch_batch(batch);
   }
@@ -379,7 +361,10 @@ AnalysisScheduler::Stats AnalysisScheduler::stats() const {
   snapshot.batches = stats_.batches.load(std::memory_order_relaxed);
   snapshot.batch_groups = stats_.batch_groups.load(std::memory_order_relaxed);
   snapshot.max_batch = stats_.max_batch.load(std::memory_order_relaxed);
-  snapshot.queue_depth = pending_count_.load(std::memory_order_relaxed);
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    snapshot.queue_depth = pending_.size();
+  }
   snapshot.in_flight = in_flight_now();
   snapshot.brownout_active = brownout_.load(std::memory_order_relaxed);
   snapshot.brownout_entries =
@@ -399,33 +384,12 @@ AnalysisScheduler::Stats AnalysisScheduler::stats() const {
 }
 
 void AnalysisScheduler::stop() {
-  if (stopped_.exchange(true)) return;
-  stopping_.store(true, std::memory_order_release);
-  work_epoch_.fetch_add(1, std::memory_order_release);
-  work_epoch_.notify_all();
-  // Wait out in-flight submits so the final drain below observes every
-  // push that was admitted before stopping_ became visible.
-  for (int in_flight =
-           submits_in_flight_.load(std::memory_order_acquire);
-       in_flight != 0;
-       in_flight = submits_in_flight_.load(std::memory_order_acquire)) {
-    submits_in_flight_.wait(in_flight, std::memory_order_acquire);
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    if (stopping_.exchange(true)) return;
   }
-  if (dispatcher_.joinable()) dispatcher_.join();
-  // The dispatcher exits only on an empty ring, but a submit that raced
-  // with shutdown may have pushed after its final look: drain leftovers
-  // here so every admitted request is still answered.
-  std::vector<Pending> batch;
-  Pending item;
-  while (pending_.try_pop(item)) {
-    pending_count_.fetch_sub(1, std::memory_order_release);
-    batch.push_back(std::move(item));
-    if (batch.size() == config_.batch_max) {
-      dispatch_batch(batch);
-      batch.clear();
-    }
-  }
-  if (!batch.empty()) dispatch_batch(batch);
+  work_ready_.notify_all();
+  dispatcher_.join();
   pool_.wait_idle();
 }
 

@@ -5,13 +5,12 @@
 // deployment is simply a router with one scheduler.
 //
 // Life of a request:
-//   1. submit() — ADMISSION: the pending queue is a bounded lock-free MPMC
-//      ring (service/mpmc_queue.h). When it already holds max_queue
-//      requests the submission is rejected immediately with a typed
-//      kOverloaded Status (never a silent drop, never a blocked producer)
-//      and nothing is enqueued. The submit hot path takes no mutex: a
-//      slot reservation on an atomic depth counter, a ring push, and an
-//      epoch bump to wake the dispatcher.
+//   1. submit() — ADMISSION: the pending queue is a deque under one
+//      mutex. When it already holds max_queue requests the submission is
+//      rejected immediately with a typed kOverloaded Status (never a
+//      silent drop, never a blocked producer) and nothing is enqueued.
+//      Otherwise the request is pushed under the lock and a condition
+//      variable wakes the dispatcher.
 //   2. The dispatcher thread drains up to batch_max pending requests at a
 //      time and groups them by COMPATIBILITY KEY — the structural identity
 //      of the Markov chain they need (arrangement, code geometry, rate
@@ -30,19 +29,23 @@
 //      per-thread SolverWorkspace) via the single-flight ResultCache, so
 //      results are bit-identical to direct core:: calls.
 // stop() drains: accepted requests still complete, new submissions are
-// rejected kOverloaded("scheduler stopping").
+// rejected kOverloaded("scheduler stopping"). stop() sets the flag under
+// the queue lock that submit() holds while it checks the flag and pushes,
+// so every push lands before the dispatcher's last look at the queue.
 #ifndef RSMEM_SERVICE_SCHEDULER_H
 #define RSMEM_SERVICE_SCHEDULER_H
 
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <memory>
+#include <mutex>
 #include <thread>
 #include <vector>
 
-#include "service/mpmc_queue.h"
 #include "service/protocol.h"
 #include "service/result_cache.h"
 #include "sim/thread_pool.h"
@@ -56,7 +59,7 @@ struct SchedulerConfig {
   std::size_t batch_max = 16;      // max requests drained per dispatch
 
   // Brown-out: graceful degradation under SUSTAINED overload, watermarked
-  // on in-flight depth (accepted - completed: ring + pool queue +
+  // on in-flight depth (accepted - completed: queue + pool queue +
   // executing). Crossing brownout_enter puts the shard in brown-out:
   // cache-MISS analysis work is shed with a typed kBrownout rejection
   // (carrying a retry-after hint), while cache HITS are answered inline
@@ -157,16 +160,12 @@ class AnalysisScheduler {
   ResultCache cache_;
   sim::ThreadPool pool_;
 
-  // Lock-free dispatch state. pending_count_ is the admission bound
-  // (reserve-then-push keeps it an upper bound on ring occupancy);
-  // work_epoch_ is bumped after every push so the dispatcher's
-  // atomic wait never misses a wake-up.
-  MpmcQueue<Pending> pending_;
-  std::atomic<std::size_t> pending_count_{0};
-  std::atomic<std::uint64_t> work_epoch_{0};
+  // Dispatch queue. stopping_ is written only under mutex_; it is atomic
+  // so submit() can reject early without taking the lock.
+  mutable std::mutex mutex_;
+  std::condition_variable work_ready_;
+  std::deque<Pending> pending_;
   std::atomic<bool> stopping_{false};
-  std::atomic<bool> stopped_{false};
-  std::atomic<int> submits_in_flight_{0};  // quiescence barrier for stop()
 
   struct AtomicStats {
     std::atomic<std::uint64_t> accepted{0};

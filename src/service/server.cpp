@@ -340,7 +340,6 @@ std::string Server::stats_result_json() const {
   object.emplace("cache", cache_stats_json(stats.cache));
   object.emplace("shard_count",
                  static_cast<std::uint64_t>(router_->shard_count()));
-  object.emplace("queue_backend", std::string(kQueueBackendName));
   object.emplace("rejected_global", stats.rejected_global);
   object.emplace("global_pending",
                  static_cast<std::uint64_t>(stats.global_pending));

@@ -1,7 +1,7 @@
 // N-shard front for the rsmem-serve analysis plane.
 //
 // A ShardRouter owns N independent AnalysisScheduler shards — each with
-// its own lock-free pending ring, dispatcher thread, worker pool, and
+// its own bounded pending queue, dispatcher thread, worker pool, and
 // single-flight ResultCache — and routes every request to exactly one
 // shard by shard_of_key(canonical_cache_key(request), N). Because the
 // cache key IS the routing key, repeated identical queries always land on
@@ -10,7 +10,7 @@
 // path.
 //
 // Admission control is two-level:
-//   * per shard — each scheduler's bounded ring rejects kOverloaded when
+//   * per shard — each scheduler's bounded queue rejects kOverloaded when
 //     ITS max_queue is full (an elephant-flow key cannot starve the other
 //     shards);
 //   * global backstop — an atomic in-flight counter across all shards

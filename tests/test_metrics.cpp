@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <map>
 #include <stdexcept>
 
@@ -10,6 +11,7 @@
 #include "markov/periodic.h"
 #include "markov/solver_workspace.h"
 #include "markov/uniformization.h"
+#include "models/ber.h"
 #include "models/detection_model.h"
 #include "models/memory_array.h"
 #include "models/metrics.h"
@@ -208,6 +210,70 @@ TEST(DetectionModel, TransitionStructure) {
   EXPECT_DOUBLE_EQ(t.at(DetectionModel::pack({1, 2, 3})), 5.0 * 2.0);
   // Scrub -> re=0.
   EXPECT_DOUBLE_EQ(t.at(DetectionModel::pack({2, 1, 0})), 7.0);
+}
+
+TEST(DetectionModel, RejectsNonFiniteNegativeAndUnsortedTimes) {
+  const markov::UniformizationSolver solver;
+  DetectionParams det;
+  det.n = 18;
+  det.k = 16;
+  det.m = 8;
+  det.seu_rate_per_bit_hour = 1e-3;
+  det.erasure_rate_per_symbol_hour = 1e-3;
+  det.detection_rate_per_hour = 0.5;
+  det.scrub_rate_per_hour = 1.0;
+  const DetectionModel model{det};
+  const markov::StateSpace space = model.build();
+  const double nan = std::nan("");
+  const double inf = std::numeric_limits<double>::infinity();
+  const std::vector<std::vector<double>> bad_grids = {
+      {nan}, {24.0, nan}, {inf}, {24.0, -inf}, {-1.0}, {24.0, 12.0}};
+  for (const std::vector<double>& times : bad_grids) {
+    EXPECT_THROW(model.fail_probability(space, times, solver),
+                 std::invalid_argument)
+        << "times[0]=" << times[0] << " size=" << times.size();
+  }
+}
+
+TEST(DetectionModel, FailProbabilityEqualsChainedSolvesBitForBit) {
+  // The location-latency sweep of bench_detection_latency, against a
+  // reference walk that chains one fresh solve() per step.
+  const markov::UniformizationSolver solver;
+  const std::vector<double> times = time_grid_hours(48.0, 25);
+  for (const double delta : {60.0, 1.0, 1.0 / 12.0, 0.0}) {
+    DetectionParams det;
+    det.n = 18;
+    det.k = 16;
+    det.m = 8;
+    det.erasure_rate_per_symbol_hour = core::per_day_to_per_hour(5e-2);
+    det.detection_rate_per_hour = delta;
+    const DetectionModel model{det};
+    const markov::StateSpace space = model.build();
+
+    std::vector<double> expected;
+    std::vector<double> pi = space.chain.initial_distribution();
+    double t_prev = 0.0;
+    for (const double t : times) {
+      if (t > t_prev) {
+        pi = solver.solve(space.chain, pi, t - t_prev);
+        t_prev = t;
+      }
+      double unrecoverable_mass = 0.0;
+      for (std::size_t i = 0; i < space.size(); ++i) {
+        if (!model.recoverable_packed(space.states[i])) {
+          unrecoverable_mass += pi[i];
+        }
+      }
+      expected.push_back(unrecoverable_mass);
+    }
+
+    const std::vector<double> actual =
+        model.fail_probability(space, times, solver);
+    ASSERT_EQ(actual.size(), expected.size());
+    for (std::size_t i = 0; i < expected.size(); ++i) {
+      EXPECT_EQ(actual[i], expected[i]) << "delta=" << delta << " i=" << i;
+    }
+  }
 }
 
 TEST(DetectionModel, ValidatesParams) {

@@ -11,9 +11,10 @@
 //     dispatcher drains them late and when they expire while queued
 //     behind a slow group on a shard worker;
 //   * merged `stats` counters are exactly the sum of the per-shard ones;
-//   * shutdown drains every admitted request.
+//   * shutdown drains every admitted request, and submitters racing
+//     stop() are answered exactly once or rejected typed.
 // The whole file runs under TSan via tools/run_sanitizers.sh (label
-// `service`) against both the lock-free and mutex MPMC queue builds.
+// `service`).
 #include <gtest/gtest.h>
 
 #include <dirent.h>
@@ -515,7 +516,6 @@ TEST(ShardRouting, ShardedAndUnshardedServersAnswerByteIdentically) {
   ASSERT_TRUE(parsed.ok());
   const Json& json = parsed.value();
   EXPECT_EQ(json.number_or("shard_count", 0.0), 4.0);
-  EXPECT_EQ(json.string_or("queue_backend", ""), kQueueBackendName);
   EXPECT_EQ(json.number_or("rejected_global", -1.0), 0.0);
   const Json* shards = json.find("shards");
   ASSERT_NE(shards, nullptr);
@@ -628,7 +628,7 @@ TEST(SchedulerAdmission, RejectsWithTypedOverloadWhenQueueFull) {
   request.times_hours = {0.0, 24.0, 48.0};
 
   // Flood far beyond the queue bound; every submission either succeeds or
-  // is rejected with a typed status — kOverloaded when the ring is full,
+  // is rejected with a typed status — kOverloaded when the queue is full,
   // kBrownout once the in-flight watermark trips — never anything
   // untyped, never dropped.
   std::size_t accepted = 0, rejected = 0;
@@ -821,6 +821,66 @@ TEST(SchedulerShutdown, StopDrainsEveryAdmittedRequest) {
   EXPECT_EQ(status.code(), core::StatusCode::kOverloaded);
 }
 
+TEST(SchedulerShutdown, SubmittersRacingStopAreAnsweredExactlyOnce) {
+  // submit() checks the stop flag and pushes under the queue lock that
+  // stop() takes to set it, so a request is either accepted before the
+  // dispatcher's last look at the queue (and answered) or rejected typed.
+  constexpr int kRounds = 20;
+  constexpr int kThreads = 6;
+  constexpr int kPerThread = 40;
+  constexpr int kRequests = kThreads * kPerThread;
+  for (int round = 0; round < kRounds; ++round) {
+    SchedulerConfig config;
+    config.threads = 2;
+    AnalysisScheduler scheduler(config);
+    std::vector<std::atomic<int>> fired(kRequests);
+    std::vector<char> accepted(kRequests, 0);
+    std::atomic<bool> go{false};
+    std::atomic<bool> untyped_rejection{false};
+    std::vector<std::thread> submitters;
+    for (int t = 0; t < kThreads; ++t) {
+      submitters.emplace_back([&, t] {
+        while (!go.load(std::memory_order_acquire)) std::this_thread::yield();
+        for (int i = 0; i < kPerThread; ++i) {
+          const int index = t * kPerThread + i;
+          Request request;
+          request.id = static_cast<std::uint64_t>(index + 1);
+          request.kind = RequestKind::kMttf;
+          request.spec = paper_duplex_spec();
+          request.spec.seu_rate_per_bit_day *= 1.0 + (index % 4);
+          const core::Status status = scheduler.submit(
+              request, [&fired, index](Response) { fired[index]++; });
+          if (status.is_ok()) {
+            accepted[index] = 1;
+          } else if (status.code() != core::StatusCode::kOverloaded &&
+                     status.code() != core::StatusCode::kBrownout) {
+            untyped_rejection = true;
+          }
+        }
+      });
+    }
+    go.store(true, std::memory_order_release);
+    std::this_thread::sleep_for(std::chrono::microseconds(40 * round));
+    scheduler.stop();
+    for (std::thread& submitter : submitters) submitter.join();
+
+    EXPECT_FALSE(untyped_rejection.load()) << "round " << round;
+    std::uint64_t accepted_count = 0;
+    for (int index = 0; index < kRequests; ++index) {
+      accepted_count += accepted[index];
+      ASSERT_EQ(fired[index].load(), accepted[index] ? 1 : 0)
+          << "round " << round << " request " << index;
+    }
+    const AnalysisScheduler::Stats stats = scheduler.stats();
+    EXPECT_EQ(stats.accepted, accepted_count) << "round " << round;
+    EXPECT_EQ(stats.accepted + stats.rejected_overload + stats.brownout_shed,
+              static_cast<std::uint64_t>(kRequests))
+        << "round " << round;
+    EXPECT_EQ(stats.completed, stats.accepted) << "round " << round;
+    EXPECT_EQ(stats.queue_depth, 0u) << "round " << round;
+  }
+}
+
 TEST(ServiceLoadgen, SelfHostedRunMeetsCacheTargets) {
   LoadgenConfig config;
   config.self_host = true;
@@ -938,7 +998,6 @@ TEST(ServiceLoadgen, ShardScalingSweepReportsEveryPoint) {
   // The JSON section carries one entry per point plus the core count.
   const Json json = shard_scaling_json(points);
   EXPECT_GT(json.number_or("cores", 0.0), 0.0);
-  EXPECT_EQ(json.string_or("queue_backend", ""), kQueueBackendName);
   const Json* entries = json.find("points");
   ASSERT_NE(entries, nullptr);
   ASSERT_TRUE(entries->is_array());

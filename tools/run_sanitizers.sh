@@ -1,25 +1,19 @@
 #!/usr/bin/env sh
-# Sanitizer sweep driver.
+# Sanitizer sweep: one build per sanitizer.
 #
-# Builds and runs the test suite under AddressSanitizer (asan preset, full
-# tier-1 suite minus the mc_heavy label) and then under ThreadSanitizer
-# (tsan preset, the mc_heavy differential suites that exercise the parallel
-# campaign engine, plus the rsmem-serve `service` suite and a loadgen smoke
-# run: server + concurrent clients + clean shutdown over real sockets).
-# The service suite runs under TSan TWICE: once with the lock-free MPMC
-# dispatch ring (tsan preset) and once with the mutex-queue fallback
-# (tsan-mutexq preset, -DRSMEM_SERVICE_MUTEX_QUEUE=ON). The mutex build is
-# the A/B control: if a race reproduces only in the lock-free build, the
-# ring's atomics are the suspect; if it reproduces in both, the bug is
-# above the queue.
-# The ASan pass likewise runs the SIMD codec differential suite (`codec`
-# label) TWICE: against the normal build, where the suite forces every
-# compiled vector backend in turn, and against the asan-nosimd build
-# (-DRSMEM_DISABLE_SIMD=ON), where only the original scalar loops exist.
-# The chaos/resilience battery (`chaos` label plus the serve-churn chaos
-# campaign CLI) runs under ASan and under BOTH TSan queue builds: fault
-# injection, hedged lanes, brown-out, and warm-start concentrate the
-# byte-slicing and cross-thread lifetime hazards.
+# asan (asan preset): the full tier-1 suite minus the mc_heavy label, the
+# adversarial injection campaign, the chaos battery and the serve-churn
+# chaos campaign, then the SIMD codec differential suite (`codec` label)
+# once as built, where the suite forces every compiled vector backend in
+# turn, and once per backend this host supports with RSMEM_GF_BACKEND
+# pinned. The RSMEM_GF_BACKEND=scalar run is the scalar control: every
+# codec call that does not force a backend runs the original loops.
+# tsan (tsan preset): the mc_heavy differential suites that exercise the
+# parallel campaign engine, a multi-threaded injection campaign, the
+# rsmem-serve `service` suite (including the scheduler's submit-vs-stop
+# race), a loadgen smoke run (sharded server + concurrent open-loop
+# clients + clean shutdown over real sockets), the chaos battery and the
+# serve-churn chaos campaign.
 # Either pass can be selected alone with `asan` / `tsan`
 # as the first argument; the default runs both. Exits non-zero on the first
 # failing pass, so this is CI-gate friendly.
@@ -72,26 +66,6 @@ run_asan() {
             ASAN_OPTIONS="abort_on_error=1:detect_leaks=1" \
             ctest --test-dir "$ROOT/build-asan" -L codec --output-on-failure
     done
-
-    echo "== Address+UB sanitizers: SIMD codec kernels (nosimd A/B build) =="
-    # Same suite against the RSMEM_DISABLE_SIMD build, where the codec can
-    # only run its original scalar loops: the A/B control. An error that
-    # reproduces only in the build above indicts the kernel layer; one that
-    # reproduces in both sits in the shared codec code. The nosimd build
-    # compiles only the portable backends, so its own loop is short.
-    cmake --preset asan-nosimd -S "$ROOT" >/dev/null
-    cmake --build "$ROOT/build-asan-nosimd" -j "$JOBS" \
-        --target rsmem_codec_tests rsmem_cli
-    backends=$("$ROOT/build-asan-nosimd/tools/rsmem_cli" version \
-        | sed -n 's/^gf backends supported://p')
-    echo "asan-nosimd codec loop over backends:$backends"
-    for b in $backends; do
-        echo "== Address+UB sanitizers: nosimd codec, RSMEM_GF_BACKEND=$b =="
-        RSMEM_GF_BACKEND="$b" \
-            ASAN_OPTIONS="abort_on_error=1:detect_leaks=1" \
-            ctest --test-dir "$ROOT/build-asan-nosimd" -L codec \
-            --output-on-failure
-    done
 }
 
 run_tsan() {
@@ -105,10 +79,10 @@ run_tsan() {
         "$ROOT/build-tsan/tools/rsmem_cli" inject --preset paper-duplex \
         --threads 4 > /dev/null
 
-    echo "== ThreadSanitizer: rsmem-serve suites (lock-free queue) =="
+    echo "== ThreadSanitizer: rsmem-serve suites =="
     # The service e2e suite: real sockets, concurrent clients, sharded
-    # dispatch through the lock-free MPMC ring, scheduler drain/overload
-    # paths -- exactly the code where a data race would hide.
+    # dispatch, scheduler drain/overload paths and submitters racing
+    # stop() -- exactly the code where a data race would hide.
     TSAN_OPTIONS="halt_on_error=1" \
         ctest --test-dir "$ROOT/build-tsan" -L service --output-on-failure
     # Service smoke: self-hosted sharded server + concurrent open-loop
@@ -125,27 +99,6 @@ run_tsan() {
         ctest --test-dir "$ROOT/build-tsan" -L chaos --output-on-failure
     TSAN_OPTIONS="halt_on_error=1" \
         "$ROOT/build-tsan/tools/rsmem_cli" chaos --preset serve-churn \
-        --requests 8 --distinct 2 > /dev/null
-
-    echo "== ThreadSanitizer: rsmem-serve suites (mutex-queue A/B build) =="
-    # Same service battery against the mutex-queue fallback so a race in the
-    # ring's sequence/atomic protocol cannot hide behind the lock-based
-    # control (and vice versa).
-    cmake --preset tsan-mutexq -S "$ROOT" >/dev/null
-    cmake --build "$ROOT/build-tsan-mutexq" -j "$JOBS" \
-        --target rsmem_service_tests rsmem_chaos_tests rsmem_cli
-    TSAN_OPTIONS="halt_on_error=1" \
-        ctest --test-dir "$ROOT/build-tsan-mutexq" -L service \
-        --output-on-failure
-    TSAN_OPTIONS="halt_on_error=1" \
-        "$ROOT/build-tsan-mutexq/tools/rsmem_cli" loadgen --clients 4 \
-        --requests 10 --distinct 2 --threads 2 --shards 2 --open-loop \
-        > /dev/null
-    TSAN_OPTIONS="halt_on_error=1" \
-        ctest --test-dir "$ROOT/build-tsan-mutexq" -L chaos \
-        --output-on-failure
-    TSAN_OPTIONS="halt_on_error=1" \
-        "$ROOT/build-tsan-mutexq/tools/rsmem_cli" chaos --preset serve-churn \
         --requests 8 --distinct 2 > /dev/null
 }
 
