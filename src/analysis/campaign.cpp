@@ -2,13 +2,76 @@
 
 #include <algorithm>
 #include <chrono>
+#include <condition_variable>
 #include <exception>
+#include <memory>
 #include <mutex>
 #include <stdexcept>
 
 #include "sim/thread_pool.h"
 
 namespace rsmem::analysis {
+
+namespace {
+
+// The workers behind parallel_for_indexed: one pool per process, started
+// on the first parallel call. The calling thread is always a participant,
+// so the pool leaves it one core.
+sim::ThreadPool& shared_workers() {
+  static sim::ThreadPool pool{std::max(1u, sim::ThreadPool::resolve(0) - 1)};
+  return pool;
+}
+
+// One parallel_for_indexed call, shared by the caller and its helpers.
+// Helpers hold it by shared_ptr, so a helper that starts after the call
+// returned still finds a live counter; it then claims nothing and never
+// touches `fn`.
+class IndexedJob {
+ public:
+  IndexedJob(std::size_t count, const std::function<void(std::size_t)>& fn)
+      : count_(count), fn_(&fn) {}
+
+  // Claims and runs indices until none are left.
+  void run() {
+    for (;;) {
+      const std::size_t i = next_.fetch_add(1, std::memory_order_relaxed);
+      if (i >= count_) return;
+      std::exception_ptr thrown;
+      try {
+        (*fn_)(i);
+      } catch (...) {
+        thrown = std::current_exception();
+      }
+      std::lock_guard<std::mutex> lock(mutex_);
+      if (thrown && i < error_index_) {
+        error_index_ = i;
+        error_ = thrown;
+      }
+      if (++finished_ == count_) all_finished_.notify_all();
+    }
+  }
+
+  // Blocks until every index has finished (only indices other threads
+  // claimed can still be running), then rethrows the first exception by
+  // index.
+  void wait_and_rethrow() {
+    std::unique_lock<std::mutex> lock(mutex_);
+    all_finished_.wait(lock, [this] { return finished_ == count_; });
+    if (error_) std::rethrow_exception(error_);
+  }
+
+ private:
+  const std::size_t count_;
+  const std::function<void(std::size_t)>* fn_;
+  std::atomic<std::size_t> next_{0};
+  std::mutex mutex_;
+  std::condition_variable all_finished_;
+  std::size_t finished_ = 0;            // guarded by mutex_
+  std::size_t error_index_ = SIZE_MAX;  // guarded by mutex_
+  std::exception_ptr error_;            // guarded by mutex_
+};
+
+}  // namespace
 
 std::size_t campaign_chunk_count(const CampaignConfig& config) {
   if (config.trials == 0) {
@@ -81,12 +144,21 @@ void run_chunked(const CampaignConfig& config, const ChunkRunner& run_chunk,
 void parallel_for_indexed(std::size_t count, unsigned threads,
                           const std::function<void(std::size_t)>& fn) {
   if (count == 0) return;
-  CampaignConfig config;
-  config.trials = count;
-  config.chunk_trials = 1;  // one index per chunk
-  config.threads = threads;
-  run_chunked(config, [&fn](std::size_t chunk, std::size_t /*first*/,
-                            std::size_t /*last*/) { fn(chunk); });
+  const std::size_t participants =
+      std::min<std::size_t>(sim::ThreadPool::resolve(threads), count);
+  const auto job = std::make_shared<IndexedJob>(count, fn);
+  if (participants > 1) {
+    sim::ThreadPool& pool = shared_workers();
+    // A helper beyond the pool's size could only start after another
+    // helper of this job ran out of indices, so it would claim none.
+    const std::size_t helpers =
+        std::min<std::size_t>(participants - 1, pool.size());
+    for (std::size_t h = 0; h < helpers; ++h) {
+      pool.submit([job] { job->run(); });
+    }
+  }
+  job->run();
+  job->wait_and_rethrow();
 }
 
 }  // namespace rsmem::analysis

@@ -83,11 +83,19 @@ void for_each_batch(std::size_t first, std::size_t last, std::size_t width,
   }
 }
 
-// Index-parallel helper (used by the Markov sweep engine): runs fn(i) for
-// every i in [0, count) on `threads` workers (0 = hardware concurrency;
-// never more workers than indices; 1 runs inline). Deterministic whenever
-// fn(i) writes only its own slot i. Exceptions are captured and the first
-// one by index is rethrown; count == 0 is a no-op.
+// Index-parallel helper (the Markov sweeps, code search and fault
+// campaigns): runs fn(i) for every i in [0, count) with
+// p = min(threads, count) participants (threads 0 = hardware concurrency).
+// With p <= 1 it runs inline. Otherwise the calling thread and up to p-1
+// helpers claim indices from one shared counter; the helpers are workers
+// of one process-wide pool of hardware_concurrency()-1 threads (at least
+// 1), started by the first parallel call, so a call starts no threads and
+// a request above the core count does not oversubscribe. The call returns
+// once every index has finished, and it waits only for indices other
+// threads have claimed, so calls may nest inside fn and may come from
+// several threads at once. Deterministic whenever fn(i) writes only its
+// own slot i. Every index runs even when some throw; the first exception
+// by index is rethrown. count == 0 is a no-op.
 void parallel_for_indexed(std::size_t count, unsigned threads,
                           const std::function<void(std::size_t)>& fn);
 

@@ -34,8 +34,9 @@ struct CodeSpec {
 
 // Sweep execution: chains come from the process-wide ChainCache, each
 // point solves through a per-thread SolverWorkspace with dense step
-// operators on the evenly spaced grid, and points are distributed over a
-// sim::ThreadPool. Results are deterministic -- identical for every thread
+// operators on the evenly spaced grid, and points are distributed by
+// parallel_for_indexed (analysis/campaign.h) over the process-wide
+// workers. Results are deterministic -- identical for every thread
 // count, since each point is computed independently and written to its
 // own slot -- and agree with per-point build-and-solve to solver accuracy
 // (<= 1e-12 relative).

@@ -34,13 +34,17 @@ const PoissonWindow& SolverWorkspace::poisson(double lambda,
 void SolverWorkspace::clear() {
   windows_.clear();
   windows_.shrink_to_fit();
-  tick_ = hits_ = misses_ = 0;
+  tick_ = hits_ = misses_ = terms_summed_ = terms_offered_ = 0;
   for (std::vector<double>* buf :
        {&v, &qv, &k1, &k2, &k3, &k4, &k5, &k6, &k7, &tmp, &y5, &pi_a, &pi_b,
         &jump_tmp}) {
     buf->clear();
     buf->shrink_to_fit();
   }
+  reach_flags.clear();
+  reach_flags.shrink_to_fit();
+  reached.clear();
+  reached.shrink_to_fit();
 }
 
 StepOperator::StepOperator(const Ctmc& chain, double dt,

@@ -39,7 +39,17 @@ class SolverWorkspace {
   std::uint64_t window_cache_hits() const { return hits_; }
   std::uint64_t window_cache_misses() const { return misses_; }
 
-  // Drops cached windows and releases buffer capacity.
+  // Uniformization terms summed by solves on this workspace, and the terms
+  // their windows offered; the early stop makes the first the smaller.
+  std::uint64_t terms_summed() const { return terms_summed_; }
+  std::uint64_t terms_offered() const { return terms_offered_; }
+  void record_terms(std::size_t summed, std::size_t offered) {
+    terms_summed_ += summed;
+    terms_offered_ += offered;
+  }
+
+  // Drops cached windows, zeroes the counters and releases buffer
+  // capacity.
   void clear();
 
   // Scratch buffers, resized on demand by the solvers. Exposed directly:
@@ -47,6 +57,10 @@ class SolverWorkspace {
   // overrides document which buffers they use.
   std::vector<double> v;   // uniformization: current pi0 * P^k iterate
   std::vector<double> qv;  // uniformization: v * Q staging
+  // Uniformization early stop: states reachable from supp(pi0) (flags, and
+  // the same states in breadth-first order).
+  std::vector<unsigned char> reach_flags;
+  std::vector<std::size_t> reached;
   // Dormand-Prince stages and step candidates.
   std::vector<double> k1, k2, k3, k4, k5, k6, k7, tmp, y5;
   // Grid / periodic propagation (occupancy curves, cycle anchors).
@@ -68,6 +82,8 @@ class SolverWorkspace {
   std::uint64_t tick_ = 0;
   std::uint64_t hits_ = 0;
   std::uint64_t misses_ = 0;
+  std::uint64_t terms_summed_ = 0;
+  std::uint64_t terms_offered_ = 0;
 };
 
 // Dense one-step propagator M = exp(Q * dt), stored row-major so that

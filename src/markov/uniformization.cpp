@@ -23,6 +23,47 @@ double log_gamma_threadsafe(double x) {
 #endif
 }
 
+// Marks the states reachable from supp(pi0) along the generator's stored
+// entries; `reached` lists them in breadth-first order. Only these states
+// can ever hold nonzero mass.
+void mark_reachable(const linalg::CsrMatrix& gen, std::span<const double> pi0,
+                    std::vector<unsigned char>& flags,
+                    std::vector<std::size_t>& reached) {
+  const std::size_t n = pi0.size();
+  flags.assign(n, 0);
+  reached.clear();
+  reached.reserve(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    if (pi0[i] != 0.0) {
+      flags[i] = 1;
+      reached.push_back(i);
+    }
+  }
+  const std::span<const std::size_t> rows = gen.row_pointers();
+  const std::span<const std::size_t> cols = gen.col_indices();
+  for (std::size_t head = 0; head < reached.size(); ++head) {
+    const std::size_t s = reached[head];
+    for (std::size_t p = rows[s]; p < rows[s + 1]; ++p) {
+      if (flags[cols[p]] == 0) {
+        flags[cols[p]] = 1;
+        reached.push_back(cols[p]);
+      }
+    }
+  }
+}
+
+// The early-stop test of the PoissonWindow comment: `bound` is the weight
+// left in the window times ||pi0||_1 (never negative, so a zero out[i]
+// fails the test). Walks the deepest states first -- the ones pi0 reaches
+// last are the ones still at zero -- and exits at the first failure.
+bool rest_is_negligible(double bound, std::span<const double> out,
+                        std::span<const std::size_t> reached) {
+  for (auto it = reached.rbegin(); it != reached.rend(); ++it) {
+    if (!(bound < 0x1p-56 * std::fabs(out[*it]))) return false;
+  }
+  return true;
+}
+
 }  // namespace
 
 UniformizationSolver::UniformizationSolver(double truncation_error)
@@ -39,7 +80,7 @@ PoissonWindow poisson_window(double lambda, double truncation_error,
     throw std::invalid_argument("poisson_window: lambda must be finite, >= 0");
   }
   if (lambda == 0.0) {
-    return {0, {1.0}};
+    return {0, {1.0}, {0.0}};
   }
   const std::size_t mode = static_cast<std::size_t>(std::floor(lambda));
   const double log_pmf_mode = -lambda +
@@ -99,6 +140,11 @@ PoissonWindow poisson_window(double lambda, double truncation_error,
     window.weights.push_back(*it);
   }
   for (const double w : right) window.weights.push_back(w);
+  // Suffix sums, accumulated from the smallest weight up.
+  window.tail.assign(window.weights.size(), 0.0);
+  for (std::size_t i = window.weights.size() - 1; i > 0; --i) {
+    window.tail[i - 1] = window.tail[i] + window.weights[i];
+  }
   return window;
 }
 
@@ -126,21 +172,30 @@ void UniformizationSolver::solve_into(const Ctmc& chain,
   const std::size_t last_k = window.first_k + window.weights.size() - 1;
 
   const linalg::CsrMatrix& gen = chain.generator();
+  mark_reachable(gen, pi0, ws.reach_flags, ws.reached);
+  double mass = 0.0;  // ||pi0||_1
+  for (const double x : pi0) mass += std::fabs(x);
+
   std::vector<double>& v = ws.v;
   std::vector<double>& qv = ws.qv;
   v.assign(pi0.begin(), pi0.end());
   qv.resize(v.size());
   std::fill(out.begin(), out.end(), 0.0);
+  std::size_t summed = 0;
   for (std::size_t k = 0; k <= last_k; ++k) {
     if (k >= window.first_k) {
-      const double w = window.weights[k - window.first_k];
+      const std::size_t j = k - window.first_k;
+      const double w = window.weights[j];
       for (std::size_t i = 0; i < v.size(); ++i) out[i] += w * v[i];
+      ++summed;
+      if (rest_is_negligible(window.tail[j] * mass, out, ws.reached)) break;
     }
     if (k == last_k) break;
     // v <- v P = v + (v Q) / q   (row-vector propagation).
     gen.apply_transpose(v, qv);
     for (std::size_t i = 0; i < v.size(); ++i) v[i] += qv[i] / q;
   }
+  ws.record_terms(summed, window.weights.size());
   // Clamp away tiny negative round-off.
   for (double& x : out) x = std::max(x, 0.0);
 }

@@ -1,5 +1,6 @@
 #include "service/client.h"
 
+#include <poll.h>
 #include <sys/socket.h>
 #include <sys/time.h>
 #include <unistd.h>
@@ -129,7 +130,33 @@ core::Result<Response> Client::call(Request request) {
   }
   if (request.id == 0) request.id = next_id_++;
   core::Status wrote = write_one(request.to_json());
-  if (!wrote.is_ok()) return wrote.with_context("client call");
+  if (!wrote.is_ok()) {
+    // The server may have answered before reading the whole request and
+    // closed (a typed InvalidConfig for an oversized frame): the write then
+    // fails with a broken pipe while the answer sits unread. Read once, and
+    // only if the socket is readable now. A peer that answered and closed
+    // has left its answer (or EOF) in the receive buffer; a write that
+    // failed before sending a byte (a payload over kMaxFrameBytes) has
+    // nothing to wait for, and a read would block. A whole frame answering
+    // this call is that answer, and the stream is done. The read bypasses
+    // the chaos session: its injected write faults have already shut the
+    // socket down, so this read sees EOF and the session's fault stream is
+    // not consumed.
+    pollfd readable{fd_, POLLIN, 0};
+    if (::poll(&readable, 1, 0) == 1) {
+      core::Result<FrameRead> frame = read_frame(fd_);
+      if (frame.ok() && !frame.value().eof) {
+        core::Result<Response> response =
+            Response::from_json(frame.value().payload);
+        if (response.ok() && (response.value().id == request.id ||
+                              response.value().id == 0)) {
+          close();
+          return response;
+        }
+      }
+    }
+    return wrote.with_context("client call");
+  }
   // Skip frames for other ids (stale pipelined completions after an
   // earlier caller gave up); bounded so a confused peer cannot wedge us.
   for (int skipped = 0; skipped < 1024; ++skipped) {

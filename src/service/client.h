@@ -73,7 +73,10 @@ class Client {
 
   // Sends the request (assigning a fresh id when request.id == 0) and
   // blocks for its response. Transport failures come back as kInternal;
-  // application failures arrive as the Response's own status.
+  // application failures arrive as the Response's own status. When the
+  // write fails because the server answered early and closed (a typed
+  // rejection of an oversized frame), that answer is returned and this
+  // connection is closed.
   core::Result<Response> call(Request request);
 
   // Pipelined surface (one sender thread + one receiver thread):

@@ -1,11 +1,15 @@
 // Tests for the parallel Monte-Carlo campaign engine: the thread pool, the
-// sharded runner, and the bit-identical-across-thread-counts guarantee.
+// sharded runner, the bit-identical-across-thread-counts guarantee, and
+// parallel_for_indexed on the process-wide workers. Own binary with the
+// `campaign` label, which tools/run_sanitizers.sh runs under TSan.
 #include "analysis/campaign.h"
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <stdexcept>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include "analysis/monte_carlo.h"
@@ -137,6 +141,89 @@ TEST(Campaign, PropagatesFirstChunkErrorByIndex) {
     FAIL() << "expected the chunk error to propagate";
   } catch (const std::runtime_error& e) {
     EXPECT_STREQ(e.what(), "chunk 2");  // lowest failing index wins
+  }
+}
+
+// ---- parallel_for_indexed ----
+
+TEST(ParallelForIndexed, RunsEveryIndexExactlyOnce) {
+  for (const std::size_t count : {1ul, 3ul, 1000ul}) {
+    for (const unsigned threads : {0u, 1u, 2u, 4u, 8u}) {
+      std::vector<std::atomic<int>> runs(count);
+      parallel_for_indexed(count, threads, [&runs](std::size_t i) {
+        runs[i].fetch_add(1, std::memory_order_relaxed);
+      });
+      for (std::size_t i = 0; i < count; ++i) {
+        ASSERT_EQ(runs[i].load(), 1)
+            << "count " << count << " threads " << threads << " index " << i;
+      }
+    }
+  }
+  parallel_for_indexed(0, 4, [](std::size_t) { FAIL() << "count 0 ran"; });
+}
+
+TEST(ParallelForIndexed, EveryIndexRunsAndFirstThrowByIndexIsRethrown) {
+  for (const unsigned threads : {1u, 4u}) {
+    std::vector<std::atomic<int>> runs(64);
+    try {
+      parallel_for_indexed(runs.size(), threads, [&runs](std::size_t i) {
+        runs[i].fetch_add(1, std::memory_order_relaxed);
+        if (i == 5 || i == 2) {
+          throw std::runtime_error("index " + std::to_string(i));
+        }
+      });
+      FAIL() << "expected the index error to propagate";
+    } catch (const std::runtime_error& e) {
+      EXPECT_STREQ(e.what(), "index 2");  // lowest failing index wins
+    }
+    for (std::size_t i = 0; i < runs.size(); ++i) {
+      EXPECT_EQ(runs[i].load(), 1) << "threads " << threads << " index " << i;
+    }
+  }
+}
+
+TEST(ParallelForIndexed, NestedCallCompletes) {
+  // Every outer index may hold a shared worker while it waits on its own
+  // inner call; the inner callers run their indices themselves.
+  std::vector<std::atomic<int>> inner_runs(8 * 16);
+  parallel_for_indexed(8, 4, [&inner_runs](std::size_t outer) {
+    parallel_for_indexed(16, 4, [&inner_runs, outer](std::size_t inner) {
+      inner_runs[outer * 16 + inner].fetch_add(1, std::memory_order_relaxed);
+    });
+  });
+  for (std::size_t i = 0; i < inner_runs.size(); ++i) {
+    EXPECT_EQ(inner_runs[i].load(), 1) << "index " << i;
+  }
+}
+
+TEST(ParallelForIndexed, ConcurrentCallersSeeOnlyTheirOwnIndices) {
+  // Four callers share the workers; each has its own count, so an index
+  // from another caller's job would land out of range or twice.
+  constexpr int kCallers = 4;
+  std::vector<std::vector<std::atomic<int>>> runs;
+  for (int c = 0; c < kCallers; ++c) runs.emplace_back(200 + 37 * c);
+  std::vector<std::atomic<int>> out_of_range(kCallers);
+  std::vector<std::thread> callers;
+  for (int c = 0; c < kCallers; ++c) {
+    callers.emplace_back([&, c] {
+      for (int round = 0; round < 20; ++round) {
+        std::vector<std::atomic<int>>& mine = runs[c];
+        parallel_for_indexed(mine.size(), 4, [&, c](std::size_t i) {
+          if (i >= mine.size()) {
+            out_of_range[c].fetch_add(1, std::memory_order_relaxed);
+            return;
+          }
+          mine[i].fetch_add(1, std::memory_order_relaxed);
+        });
+      }
+    });
+  }
+  for (std::thread& caller : callers) caller.join();
+  for (int c = 0; c < kCallers; ++c) {
+    EXPECT_EQ(out_of_range[c].load(), 0) << "caller " << c;
+    for (std::size_t i = 0; i < runs[c].size(); ++i) {
+      ASSERT_EQ(runs[c][i].load(), 20) << "caller " << c << " index " << i;
+    }
   }
 }
 

@@ -22,6 +22,7 @@
 #include <chrono>
 #include <cstdio>
 #include <fstream>
+#include <future>
 #include <memory>
 #include <string>
 #include <thread>
@@ -421,6 +422,91 @@ TEST(ServerHardening, OversizedFrameTypedRejectThenClose) {
   const auto small = again.value().call(ping_request());
   ASSERT_TRUE(small.ok());
   EXPECT_TRUE(small.value().status.is_ok());
+}
+
+// A request whose JSON body is megabytes long: far more than a socket
+// buffer holds, so the client is still writing when the server rejects the
+// header and closes.
+Request oversized_request() {
+  Request request = heavy_request(0);
+  for (int point = 0; point < 200000; ++point) {
+    request.times_hours.push_back(1000.0 + 1e-3 * point);
+  }
+  return request;
+}
+
+ServerConfig max_frame_config(const char* tag) {
+  ServerConfig config;
+  config.endpoint = chaos_test_endpoint(tag);
+  config.router.shards = 1;
+  config.max_frame_bytes = 256;
+  return config;
+}
+
+TEST(ServerHardening, OversizedBodyBeyondSocketBufferStillGetsTypedReject) {
+  auto started = Server::start(max_frame_config("maxframe-big"));
+  ASSERT_TRUE(started.ok()) << started.status().to_string();
+  auto connected = Client::connect(started.value()->endpoint());
+  ASSERT_TRUE(connected.ok());
+  (void)connected.value().set_receive_timeout(5000);
+
+  const Request oversized = oversized_request();
+  ASSERT_GT(oversized.to_json().size(), std::size_t{1} << 21);
+  // The write fails with a broken pipe; the typed answer the server sent
+  // before closing is what the caller gets, not the transport error.
+  const auto result = connected.value().call(oversized);
+  ASSERT_TRUE(result.ok()) << result.status().to_string();
+  EXPECT_EQ(result.value().status.code(), core::StatusCode::kInvalidConfig);
+  EXPECT_FALSE(connected.value().connected());
+}
+
+// A request over kMaxFrameBytes never leaves the client: write_frame
+// refuses it before sending a byte, so the server has nothing to answer.
+// With no receive timeout armed, a read for that answer would block for
+// good; the call must fail at once instead. The watchdog unblocks such a
+// read so a regression fails here rather than hanging the suite.
+TEST(ServerHardening, RequestOverFrameCapFailsAtOnceWithoutReceiveTimeout) {
+  ServerConfig config;
+  config.endpoint = chaos_test_endpoint("framecap");
+  config.router.shards = 1;
+  auto started = Server::start(config);
+  ASSERT_TRUE(started.ok()) << started.status().to_string();
+  auto connected = Client::connect(started.value()->endpoint());
+  ASSERT_TRUE(connected.ok());
+  Client& client = connected.value();
+
+  Request request;
+  request.kind = RequestKind::kSweep;
+  request.sweep_param.assign(kMaxFrameBytes, 'x');
+  std::future<core::Result<Response>> call = std::async(
+      std::launch::async, [&client, &request] { return client.call(request); });
+  if (call.wait_for(std::chrono::seconds(30)) != std::future_status::ready) {
+    client.cancel();
+    call.wait();
+    FAIL() << "Client::call blocked on a request it never sent";
+  }
+  const auto result = call.get();
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), core::StatusCode::kInternal);
+  EXPECT_NE(result.status().message().find("kMaxFrameBytes"),
+            std::string::npos)
+      << result.status().to_string();
+  // Nothing reached the socket, so the stream is intact.
+  const auto ping = client.call(ping_request());
+  ASSERT_TRUE(ping.ok()) << ping.status().to_string();
+  EXPECT_TRUE(ping.value().status.is_ok());
+}
+
+TEST(ResilientClientRetry, OversizedRejectIsFinalAfterOneAttempt) {
+  auto started = Server::start(max_frame_config("maxframe-retry"));
+  ASSERT_TRUE(started.ok()) << started.status().to_string();
+  ResilientClient client(started.value()->endpoint(), fast_retry_policy(5));
+  client.set_receive_timeout(5000);
+  const auto result = client.call(oversized_request());
+  ASSERT_TRUE(result.ok()) << result.status().to_string();
+  EXPECT_EQ(result.value().status.code(), core::StatusCode::kInvalidConfig);
+  EXPECT_EQ(client.counters().attempts, 1u);
+  EXPECT_EQ(client.counters().retries, 0u);
 }
 
 TEST(ServerHardening, IdleReaperFreesQuietConnections) {

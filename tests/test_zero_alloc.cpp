@@ -3,7 +3,8 @@
 // encode/decode/batch calls perform ZERO heap allocations — including the
 // workspace-free decode, which runs on the codec's per-thread workspace.
 // The same holds one layer up for duplex scrubbing, which arbitrates on
-// the system's own scratch planes.
+// the system's own scratch planes, and for the uniformization solver on a
+// warmed-up SolverWorkspace.
 //
 // Implemented with counting global operator new/delete overrides, which is
 // why this lives in its own test binary: the overrides are process-wide and
@@ -15,7 +16,10 @@
 #include <new>
 #include <vector>
 
+#include "markov/solver_workspace.h"
+#include "markov/uniformization.h"
 #include "memory/duplex_system.h"
+#include "models/duplex_model.h"
 #include "rs/reed_solomon.h"
 #include "sim/rng.h"
 
@@ -194,6 +198,46 @@ TEST(ZeroAllocScrub, SteadyStateDuplexScrubbingDoesNotAllocate) {
   EXPECT_EQ(sys.stats().scrubs_replayed - replayed_before, 34u);
   EXPECT_EQ(sys.damage(1).corrupted, 0u);
   EXPECT_TRUE(sys.read().read.data_correct);
+}
+
+TEST(ZeroAllocSolver, SteadyStateUniformizationDoesNotAllocate) {
+  // Duplex RS(18,16) with SEUs, erasures and scrubbing: a chain where the
+  // early stop fires and the reach flags, breadth-first list and window
+  // tail sums are all in use.
+  models::DuplexParams params;
+  params.seu_rate_per_bit_hour = 1.7e-5 / 24.0;
+  params.erasure_rate_per_symbol_hour = 1e-6;
+  params.scrub_rate_per_hour = 4.0;
+  const markov::StateSpace space = models::DuplexModel{params}.build();
+  const markov::Ctmc& chain = space.chain;
+  const std::size_t n = space.size();
+  const markov::UniformizationSolver solver;
+  markov::SolverWorkspace ws;
+  const std::vector<double> pi0 = chain.initial_distribution();
+  std::vector<double> full(n, 1.0 / static_cast<double>(n));
+  std::vector<double> basis(n, 0.0);
+  std::vector<double> out(n);
+  const double times[] = {0.25, 1.0, 12.0, 48.0};
+
+  // Warm-up: one solve per step width grows the buffers and caches the
+  // windows.
+  for (const double t : times) solver.solve_into(chain, full, t, ws, out);
+
+  const std::uint64_t allocs = allocations_in([&] {
+    for (int rep = 0; rep < 3; ++rep) {
+      for (const double t : times) {
+        solver.solve_into(chain, pi0, t, ws, out);
+        solver.solve_into(chain, full, t, ws, out);
+        for (std::size_t i = 0; i < n; i += 7) {
+          basis[i] = 1.0;
+          solver.solve_into(chain, basis, t, ws, out);
+          basis[i] = 0.0;
+        }
+      }
+    }
+  });
+  EXPECT_EQ(allocs, 0u) << "steady-state solve_into must not hit the heap";
+  EXPECT_LT(ws.terms_summed(), ws.terms_offered());
 }
 
 }  // namespace

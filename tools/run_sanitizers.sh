@@ -9,7 +9,9 @@
 # pinned. The RSMEM_GF_BACKEND=scalar run is the scalar control: every
 # codec call that does not force a backend runs the original loops.
 # tsan (tsan preset): the mc_heavy differential suites that exercise the
-# parallel campaign engine, a multi-threaded injection campaign, the
+# parallel campaign engine, the `campaign` suite (the campaign engine and
+# parallel_for_indexed on the process-wide workers: nested calls,
+# concurrent callers, exceptions), a multi-threaded injection campaign, the
 # rsmem-serve `service` suite (including the scheduler's submit-vs-stop
 # race), a loadgen smoke run (sharded server + concurrent open-loop
 # clients + clean shutdown over real sockets), the chaos battery and the
@@ -74,6 +76,10 @@ run_tsan() {
     cmake --build "$ROOT/build-tsan" -j "$JOBS"
     TSAN_OPTIONS="halt_on_error=1" \
         ctest --test-dir "$ROOT/build-tsan" -L mc_heavy --output-on-failure
+    # parallel_for_indexed's shared workers: callers and helpers share one
+    # job counter, nest, and race from several threads at once.
+    TSAN_OPTIONS="halt_on_error=1" \
+        ctest --test-dir "$ROOT/build-tsan" -L campaign --output-on-failure
     # Multi-threaded campaign run: scenario shards on 4 workers.
     TSAN_OPTIONS="halt_on_error=1" \
         "$ROOT/build-tsan/tools/rsmem_cli" inject --preset paper-duplex \
