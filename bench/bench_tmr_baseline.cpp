@@ -9,6 +9,8 @@
 // under a mixed SEU + permanent-fault environment (closed forms for the
 // baselines, chains for the RS arrangements, functional Monte-Carlo spot
 // checks for both).
+#include <cmath>
+
 #include "bench_common.h"
 #include "core/api.h"
 #include "core/units.h"

@@ -71,6 +71,17 @@ class IndexedJob {
   std::exception_ptr error_;            // guarded by mutex_
 };
 
+// Threads a parallel_for_indexed call over `count` > 0 indices runs on:
+// the caller plus up to threads - 1 pool workers. A helper beyond the
+// pool's size could only start after another helper of the same call ran
+// out of indices, so it would claim none.
+std::size_t participants(std::size_t count, unsigned threads) {
+  const std::size_t wanted =
+      std::min<std::size_t>(sim::ThreadPool::resolve(threads), count);
+  if (wanted <= 1) return 1;
+  return 1 + std::min<std::size_t>(wanted - 1, shared_workers().size());
+}
+
 }  // namespace
 
 std::size_t campaign_chunk_count(const CampaignConfig& config) {
@@ -86,55 +97,27 @@ std::size_t campaign_chunk_count(const CampaignConfig& config) {
 void run_chunked(const CampaignConfig& config, const ChunkRunner& run_chunk,
                  CampaignReport* report, CampaignProgress* progress) {
   const std::size_t chunks = campaign_chunk_count(config);
-  const unsigned threads = static_cast<unsigned>(
-      std::min<std::size_t>(sim::ThreadPool::resolve(config.threads), chunks));
-
-  // First failing chunk by INDEX, so the rethrown error is deterministic
-  // even when several chunks fail on different workers.
-  std::mutex error_mutex;
-  std::size_t error_chunk = chunks;
-  std::exception_ptr error;
-
-  const auto guarded_chunk = [&](std::size_t chunk) {
+  const auto start = std::chrono::steady_clock::now();
+  parallel_for_indexed(chunks, config.threads, [&](std::size_t chunk) {
     const std::size_t first = chunk * config.chunk_trials;
     const std::size_t last =
         std::min(config.trials, first + config.chunk_trials);
-    try {
-      run_chunk(chunk, first, last);
-      if (progress != nullptr) {
-        progress->trials_completed.fetch_add(last - first,
-                                             std::memory_order_relaxed);
-        progress->chunks_completed.fetch_add(1, std::memory_order_relaxed);
-      }
-    } catch (...) {
-      std::lock_guard<std::mutex> lock(error_mutex);
-      if (chunk < error_chunk) {
-        error_chunk = chunk;
-        error = std::current_exception();
-      }
+    run_chunk(chunk, first, last);
+    if (progress != nullptr) {
+      progress->trials_completed.fetch_add(last - first,
+                                           std::memory_order_relaxed);
+      progress->chunks_completed.fetch_add(1, std::memory_order_relaxed);
     }
-  };
-
-  const auto start = std::chrono::steady_clock::now();
-  if (threads <= 1) {
-    for (std::size_t chunk = 0; chunk < chunks; ++chunk) guarded_chunk(chunk);
-  } else {
-    sim::ThreadPool pool{threads};
-    for (std::size_t chunk = 0; chunk < chunks; ++chunk) {
-      pool.submit([&guarded_chunk, chunk] { guarded_chunk(chunk); });
-    }
-    pool.wait_idle();
-  }
+  });
   const double elapsed =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
           .count();
 
-  if (error) std::rethrow_exception(error);
-
   if (report != nullptr) {
     report->trials = config.trials;
     report->chunks = chunks;
-    report->threads_used = threads;
+    report->threads_used =
+        static_cast<unsigned>(participants(chunks, config.threads));
     report->elapsed_seconds = elapsed;
     report->trials_per_second =
         elapsed > 0.0 ? static_cast<double>(config.trials) / elapsed : 0.0;
@@ -144,18 +127,10 @@ void run_chunked(const CampaignConfig& config, const ChunkRunner& run_chunk,
 void parallel_for_indexed(std::size_t count, unsigned threads,
                           const std::function<void(std::size_t)>& fn) {
   if (count == 0) return;
-  const std::size_t participants =
-      std::min<std::size_t>(sim::ThreadPool::resolve(threads), count);
   const auto job = std::make_shared<IndexedJob>(count, fn);
-  if (participants > 1) {
-    sim::ThreadPool& pool = shared_workers();
-    // A helper beyond the pool's size could only start after another
-    // helper of this job ran out of indices, so it would claim none.
-    const std::size_t helpers =
-        std::min<std::size_t>(participants - 1, pool.size());
-    for (std::size_t h = 0; h < helpers; ++h) {
-      pool.submit([job] { job->run(); });
-    }
+  const std::size_t helpers = participants(count, threads) - 1;
+  for (std::size_t h = 0; h < helpers; ++h) {
+    shared_workers().submit([job] { job->run(); });
   }
   job->run();
   job->wait_and_rethrow();

@@ -1,8 +1,9 @@
 // Sharded Monte-Carlo campaign runner.
 //
 // Partitions a campaign of `trials` independent trials into fixed-size
-// chunks, runs the chunks on a sim::ThreadPool, and folds the per-chunk
-// accumulators IN CHUNK-INDEX ORDER. Together with per-trial RNG streams
+// chunks, runs the chunks through parallel_for_indexed (the caller and the
+// process-wide workers), and folds the per-chunk accumulators IN
+// CHUNK-INDEX ORDER. Together with per-trial RNG streams
 // keyed by the GLOBAL trial index (not by shard or thread), this makes the
 // campaign result bit-identical for every thread count, including 1:
 //
@@ -31,8 +32,9 @@ struct CampaignConfig {
   // Shard granularity. Results do not depend on it (see fold-order note
   // above), but it trades scheduling slack against task overhead.
   std::size_t chunk_trials = 1024;
-  // Worker threads; 0 selects the hardware concurrency. Never more threads
-  // than chunks are spawned.
+  // Threads that run chunks, the caller included; 0 selects the hardware
+  // concurrency. Never more than the chunks, nor than the process-wide
+  // workers plus the caller (see parallel_for_indexed).
   unsigned threads = 0;
 };
 
@@ -56,8 +58,9 @@ struct CampaignReport {
 std::size_t campaign_chunk_count(const CampaignConfig& config);
 
 // Type-erased core: calls `run_chunk(chunk_index, first_trial, last_trial)`
-// for every chunk (half-open trial range), using `config.threads` workers.
-// The single-thread path runs inline with no pool. Exceptions thrown by a
+// for every chunk (half-open trial range) through parallel_for_indexed with
+// `config.threads`, so a campaign starts no threads and its caller runs
+// chunks too. The single-thread path runs inline. Exceptions thrown by a
 // chunk are captured and the FIRST one (by chunk index) is rethrown after
 // all other chunks finish. Throws std::invalid_argument for an empty
 // campaign or zero chunk size.

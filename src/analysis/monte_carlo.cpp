@@ -102,6 +102,18 @@ std::shared_ptr<const rs::ReedSolomon> campaign_code(
   return code;
 }
 
+// The campaign codec behind a reference count of the chunk's own. Each trial
+// copies its codec pointer into its config and its system several times; on
+// the campaign's one count, every worker's copies would bounce the same
+// cache line, which held four-thread campaigns of short trials well under
+// 4x one thread. The handle owns a copy of the campaign pointer and points
+// at the same codec, so no trial's result changes.
+std::shared_ptr<const rs::ReedSolomon> chunk_code(
+    const std::shared_ptr<const rs::ReedSolomon>& code) {
+  return {std::make_shared<std::shared_ptr<const rs::ReedSolomon>>(code),
+          code.get()};
+}
+
 MonteCarloResult run_campaign(const MonteCarloConfig& config,
                               const ChunkRunner& chunk_with_acc,
                               CampaignReport* report,
@@ -201,17 +213,19 @@ MonteCarloResult run_simplex_trials(const memory::SimplexSystemConfig& system,
   const unsigned k = system.code.k;
   const auto chunk = [&](std::size_t chunk_index, std::size_t first,
                          std::size_t last) {
-    // One batch workspace per pool thread (the thread-safety rule of the
-    // codec); it persists across chunks so steady-state trials allocate no
-    // codec scratch at all. Per-word decodes inside the systems use the
-    // codec's own per-thread workspace.
+    // One batch workspace per campaign thread (the thread-safety rule of
+    // the codec); it persists across chunks and campaigns so steady-state
+    // trials allocate no codec scratch at all. Per-word decodes inside the
+    // systems use the codec's own per-thread workspace.
     thread_local rs::DecoderWorkspace ws;
     MonteCarloAccumulator& acc = shards[chunk_index];
+    const std::shared_ptr<const rs::ReedSolomon> code =
+        chunk_code(shared_code);
     // Constructs one trial's system (no data stored yet).
     const auto build_system = [&](std::size_t trial) {
       memory::SimplexSystemConfig cfg = system;
       cfg.seed = trial_system_seed(root, trial);
-      cfg.shared_code = shared_code;
+      cfg.shared_code = code;
       return std::make_unique<memory::SimplexSystem>(cfg);
     };
     // Runs one trial's life up to the stopping time; the final read is the
@@ -321,10 +335,12 @@ MonteCarloResult run_duplex_trials(const memory::DuplexSystemConfig& system,
                          std::size_t last) {
     thread_local rs::DecoderWorkspace ws;
     MonteCarloAccumulator& acc = shards[chunk_index];
+    const std::shared_ptr<const rs::ReedSolomon> code =
+        chunk_code(shared_code);
     const auto build_system = [&](std::size_t trial) {
       memory::DuplexSystemConfig cfg = system;
       cfg.seed = trial_system_seed(root, trial);
-      cfg.shared_code = shared_code;
+      cfg.shared_code = code;
       return std::make_unique<memory::DuplexSystem>(cfg);
     };
     const auto make_system = [&](std::size_t trial) {

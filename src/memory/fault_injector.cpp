@@ -8,12 +8,16 @@ namespace rsmem::memory {
 FaultInjector::FaultInjector(const FaultRates& rates, sim::Rng rng,
                              sim::EventQueue& queue, MemoryModule& module)
     : rates_(rates), rng_(rng), queue_(queue), module_(module) {
-  if (rates.seu_rate_per_bit_hour < 0.0 ||
-      rates.perm_rate_per_symbol_hour < 0.0 ||
-      rates.detection_latency_hours < 0.0) {
-    throw std::invalid_argument("FaultInjector: rates must be non-negative");
+  const auto finite_non_negative = [](double x) {
+    return x >= 0.0 && std::isfinite(x);
+  };
+  if (!finite_non_negative(rates.seu_rate_per_bit_hour) ||
+      !finite_non_negative(rates.perm_rate_per_symbol_hour) ||
+      !finite_non_negative(rates.detection_latency_hours)) {
+    throw std::invalid_argument(
+        "FaultInjector: rates must be finite and non-negative");
   }
-  if (rates.mbu_probability < 0.0 || rates.mbu_probability > 1.0) {
+  if (!(rates.mbu_probability >= 0.0 && rates.mbu_probability <= 1.0)) {
     throw std::invalid_argument(
         "FaultInjector: mbu_probability outside [0,1]");
   }
@@ -23,9 +27,10 @@ FaultInjector::FaultInjector(const FaultRates& rates, sim::Rng rng,
     throw std::invalid_argument(
         "FaultInjector: mbu_span_bits must be in [2, n*m]");
   }
-  if (rates.perm_weibull_shape <= 0.0) {
+  if (!(rates.perm_weibull_shape > 0.0) ||
+      !std::isfinite(rates.perm_weibull_shape)) {
     throw std::invalid_argument(
-        "FaultInjector: perm_weibull_shape must be positive");
+        "FaultInjector: perm_weibull_shape must be finite and positive");
   }
   if (rates.perm_weibull_shape != 1.0 &&
       rates.perm_rate_per_symbol_hour > 0.0) {

@@ -1,5 +1,6 @@
 #include "memory/interleaved_array.h"
 
+#include <cmath>
 #include <stdexcept>
 #include <vector>
 
@@ -12,13 +13,21 @@ InterleavedTrialResult run_interleaved_trial(
   if (config.depth == 0) {
     throw std::invalid_argument("interleaved_array: depth must be >= 1");
   }
-  if (config.rates.seu_rate_per_bit_hour < 0.0 || t_hours < 0.0) {
-    throw std::invalid_argument("interleaved_array: negative rate or time");
+  if (!(config.rates.seu_rate_per_bit_hour >= 0.0) || !(t_hours >= 0.0) ||
+      !std::isfinite(config.rates.seu_rate_per_bit_hour) ||
+      !std::isfinite(t_hours)) {
+    throw std::invalid_argument(
+        "interleaved_array: rate and time must be finite and non-negative");
   }
   const rs::ReedSolomon code{config.code};
   const unsigned word_bits = config.code.n * config.code.m;
   const unsigned total_bits = word_bits * config.depth;
   const unsigned span = config.rates.mbu_span_bits;
+  if (!(config.rates.mbu_probability >= 0.0 &&
+        config.rates.mbu_probability <= 1.0)) {
+    throw std::invalid_argument(
+        "interleaved_array: mbu_probability outside [0,1]");
+  }
   if (config.rates.mbu_probability > 0.0 &&
       (span < 2 || span > total_bits)) {
     throw std::invalid_argument("interleaved_array: bad mbu span");

@@ -1,6 +1,7 @@
 #include "memory/simplex_system.h"
 
 #include <algorithm>
+#include <cmath>
 #include <stdexcept>
 #include <string>
 

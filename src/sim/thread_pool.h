@@ -35,8 +35,8 @@ class ThreadPool {
   // worker (the pool keeps running) and the FIRST captured exception is
   // rethrown to the caller from the next wait_idle(). Callers that need a
   // specific exception-selection order (e.g. first by task index) should
-  // still wrap tasks and pick their own winner, as analysis::run_chunked
-  // does for campaign shards.
+  // still wrap tasks and pick their own winner, as
+  // analysis::parallel_for_indexed does for its indices.
   void submit(std::function<void()> task);
 
   // Blocks until every submitted task has finished running, then rethrows

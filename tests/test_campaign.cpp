@@ -6,7 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <mutex>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -113,6 +115,31 @@ TEST(Campaign, NeverSpawnsMoreThreadsThanChunks) {
   run_chunked(
       config, [](std::size_t, std::size_t, std::size_t) {}, &report);
   EXPECT_EQ(report.threads_used, 2u);
+}
+
+TEST(Campaign, RunsOnTheSharedWorkersWithoutOversubscribing) {
+  // A request above the core count runs on the caller plus the shared
+  // workers, and the report counts those participants.
+  const unsigned cores = sim::ThreadPool::resolve(0);
+  CampaignConfig config;
+  config.trials = 4096;
+  config.chunk_trials = 16;  // 256 chunks
+  config.threads = cores + 4;
+  std::mutex mutex;
+  std::vector<std::thread::id> seen;
+  CampaignReport report;
+  run_chunked(
+      config,
+      [&](std::size_t, std::size_t, std::size_t) {
+        std::lock_guard<std::mutex> lock(mutex);
+        const std::thread::id self = std::this_thread::get_id();
+        if (std::find(seen.begin(), seen.end(), self) == seen.end()) {
+          seen.push_back(self);
+        }
+      },
+      &report);
+  EXPECT_EQ(report.threads_used, std::max(2u, cores));
+  EXPECT_LE(seen.size(), report.threads_used);
 }
 
 TEST(Campaign, RejectsEmptyCampaigns) {

@@ -1,6 +1,7 @@
 // Tests for the physical memory module and the fault injector.
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <stdexcept>
 
 #include "memory/fault_injector.h"
@@ -80,6 +81,45 @@ TEST(FaultInjector, RejectsNegativeRates) {
   MemoryModule mod{18, 8};
   FaultRates rates;
   rates.seu_rate_per_bit_hour = -1.0;
+  EXPECT_THROW(FaultInjector(rates, sim::Rng{1}, q, mod),
+               std::invalid_argument);
+}
+
+TEST(FaultInjector, RejectsNonFiniteRates) {
+  // An infinite SEU rate used to keep run_until(1.0) from returning; a NaN
+  // rate surfaced only later, as an EventQueue::schedule_at error.
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  sim::EventQueue q;
+  MemoryModule mod{18, 8};
+  for (const double bad : {kInf, kNaN}) {
+    FaultRates seu;
+    seu.seu_rate_per_bit_hour = bad;
+    EXPECT_THROW(FaultInjector(seu, sim::Rng{1}, q, mod),
+                 std::invalid_argument);
+    FaultRates perm;
+    perm.perm_rate_per_symbol_hour = bad;
+    EXPECT_THROW(FaultInjector(perm, sim::Rng{1}, q, mod),
+                 std::invalid_argument);
+    FaultRates latency;
+    latency.perm_rate_per_symbol_hour = 1.0;
+    latency.detection_latency_hours = bad;
+    EXPECT_THROW(FaultInjector(latency, sim::Rng{1}, q, mod),
+                 std::invalid_argument);
+    FaultRates shape;
+    shape.perm_rate_per_symbol_hour = 1.0;
+    shape.perm_weibull_shape = bad;
+    EXPECT_THROW(FaultInjector(shape, sim::Rng{1}, q, mod),
+                 std::invalid_argument);
+  }
+}
+
+TEST(FaultInjector, RejectsNaNMbuProbability) {
+  sim::EventQueue q;
+  MemoryModule mod{18, 8};
+  FaultRates rates;
+  rates.seu_rate_per_bit_hour = 1.0;
+  rates.mbu_probability = std::numeric_limits<double>::quiet_NaN();
   EXPECT_THROW(FaultInjector(rates, sim::Rng{1}, q, mod),
                std::invalid_argument);
 }

@@ -3,7 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <limits>
+#include <optional>
+#include <random>
 #include <stdexcept>
 #include <vector>
 
@@ -112,6 +115,184 @@ TEST(Rng, PoissonLargeMeanChunking) {
   const int n = 2000;
   for (int i = 0; i < n; ++i) sum += static_cast<double>(rng.poisson(mean));
   EXPECT_NEAR(sum / n / mean, 1.0, 0.01);
+}
+
+TEST(Rng, PoissonRejectsNonFiniteMean) {
+  // +inf used to loop forever in the chunking loop; NaN returned 0.
+  Rng rng{14};
+  EXPECT_THROW(rng.poisson(std::numeric_limits<double>::infinity()),
+               std::invalid_argument);
+  EXPECT_THROW(rng.poisson(std::numeric_limits<double>::quiet_NaN()),
+               std::invalid_argument);
+}
+
+TEST(Rng, ExponentialRejectsNonFiniteRate) {
+  // NaN used to return NaN and +inf to return 0.
+  Rng rng{15};
+  EXPECT_THROW(rng.exponential(std::numeric_limits<double>::quiet_NaN()),
+               std::invalid_argument);
+  EXPECT_THROW(rng.exponential(std::numeric_limits<double>::infinity()),
+               std::invalid_argument);
+}
+
+TEST(Rng, BernoulliRejectsNaN) {
+  // NaN used to return false.
+  Rng rng{16};
+  EXPECT_THROW(rng.bernoulli(std::numeric_limits<double>::quiet_NaN()),
+               std::invalid_argument);
+}
+
+// Rng is an in-house MT19937-64; std::mt19937_64 is its oracle. mix() is a
+// test-local copy of the SplitMix64 finalizer Rng applies to its seed, and
+// unmix() its inverse, so a test can choose the engine seed an Rng gets.
+std::uint64_t mix(std::uint64_t z) {
+  z += 0x9E3779B97F4A7C15ull;
+  z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ull;
+  z = (z ^ (z >> 27)) * 0x94D049BB133111EBull;
+  return z ^ (z >> 31);
+}
+
+std::uint64_t unxorshift(std::uint64_t y, unsigned shift) {
+  std::uint64_t x = y;
+  for (unsigned i = 0; i < 64 / shift + 1; ++i) x = y ^ (x >> shift);
+  return x;
+}
+
+std::uint64_t inverse_mod_2_64(std::uint64_t odd) {
+  std::uint64_t x = odd;  // correct to 3 bits; each step doubles that
+  for (int i = 0; i < 6; ++i) x *= 2 - odd * x;
+  return x;
+}
+
+std::uint64_t unmix(std::uint64_t z) {
+  z = unxorshift(z, 31) * inverse_mod_2_64(0x94D049BB133111EBull);
+  z = unxorshift(z, 27) * inverse_mod_2_64(0xBF58476D1CE4E5B9ull);
+  return unxorshift(z, 30) - 0x9E3779B97F4A7C15ull;
+}
+
+std::mt19937_64 oracle(std::uint64_t seed) {
+  return std::mt19937_64{mix(seed)};
+}
+
+// Seeds spread over the whole range plus the extremes.
+std::uint64_t test_seed(unsigned i) {
+  if (i == 0) return 0;
+  if (i == 1) return ~std::uint64_t{0};
+  return i * 0x9E3779B97F4A7C15ull + (i >> 3);
+}
+
+// Block-0 runs end every 16 words and the first twist reads up to 156
+// words ahead; blocks end every 312 words.
+const std::vector<unsigned> kBoundaryDraws = {
+    0,   1,   2,   3,   15,  16,  17,  31,  32,  33,  140, 155,
+    156, 157, 171, 172, 173, 223, 295, 296, 303, 304, 305, 311,
+    312, 313, 623, 624, 625, 935, 936, 1000, 2100};
+
+// The root seed plus the optional engine it replaced.
+static_assert(sizeof(Rng) <= sizeof(std::uint64_t) +
+                                 sizeof(std::optional<std::mt19937_64>),
+              "Rng must not outgrow the std::mt19937_64 it replaced");
+
+TEST(Rng, MatchesStdMt19937_64AcrossSeedsAndDrawCounts) {
+  // Every prefix of 0..2,100 draws of 2,000 seeds: draw counts cover the
+  // block-0 runs, the seed-ahead edge and three later bulk blocks.
+  std::uint64_t mismatches = 0;
+  for (unsigned i = 0; i < 2000; ++i) {
+    const std::uint64_t seed = test_seed(i);
+    Rng rng{seed};
+    std::mt19937_64 ref = oracle(seed);
+    for (unsigned draw = 0; draw < 2100; ++draw) {
+      mismatches += rng.next_u64() != ref();
+    }
+  }
+  EXPECT_EQ(mismatches, 0u);
+}
+
+TEST(Rng, CopyAfterEveryDrawCountContinuesLikeTheOracle) {
+  // A copy moves only the words written so far; taken after any count from
+  // 0 to 2,100 it continues the standard sequence.
+  for (unsigned count = 0; count <= 2100; ++count) {
+    const std::uint64_t seed = test_seed(count + 7);
+    Rng rng{seed};
+    std::mt19937_64 ref = oracle(seed);
+    for (unsigned d = 0; d < count; ++d) rng.next_u64();
+    ref.discard(count);
+    Rng copy{rng};
+    for (unsigned d = 0; d < 20; ++d) {
+      ASSERT_EQ(copy.next_u64(), ref()) << "count " << count << " +" << d;
+    }
+  }
+}
+
+TEST(Rng, CopiesTakenMidBlockContinueIdentically) {
+  for (const unsigned count : kBoundaryDraws) {
+    for (unsigned i = 0; i < 20; ++i) {
+      const std::uint64_t seed = test_seed(i);
+      Rng source{seed};
+      for (unsigned d = 0; d < count; ++d) source.next_u64();
+
+      const Rng copied{source};
+      // Assignment targets that have written none, some and all of their
+      // state words, so the copied prefix is shorter and longer than what
+      // the target already holds.
+      std::vector<Rng> assigned;
+      for (const unsigned target_draws : {0u, 1u, 200u, 700u}) {
+        Rng target{seed ^ 0xA5A5A5A5u};
+        for (unsigned d = 0; d < target_draws; ++d) target.next_u64();
+        target = source;
+        assigned.push_back(target);
+      }
+      Rng& alias = source;
+      source = alias;
+
+      std::mt19937_64 ref = oracle(seed);
+      ref.discard(count);
+      Rng copy = copied;
+      for (unsigned d = 0; d < 700; ++d) {
+        const std::uint64_t want = ref();
+        ASSERT_EQ(source.next_u64(), want) << "count " << count;
+        ASSERT_EQ(copy.next_u64(), want) << "count " << count;
+        for (Rng& a : assigned) ASSERT_EQ(a.next_u64(), want) << count;
+      }
+    }
+  }
+}
+
+TEST(Rng, SplitIgnoresDrawsTaken) {
+  for (const unsigned count : kBoundaryDraws) {
+    Rng drawn{test_seed(count)};
+    for (unsigned d = 0; d < count; ++d) drawn.next_u64();
+    const Rng fresh{test_seed(count)};
+    for (const std::uint64_t stream : {0ull, 1ull, 0x57EAull, ~0ull}) {
+      Rng a = drawn.split(stream);
+      Rng b = fresh.split(stream);
+      for (unsigned d = 0; d < 400; ++d) {
+        ASSERT_EQ(a.next_u64(), b.next_u64()) << count << "/" << stream;
+      }
+    }
+  }
+}
+
+TEST(Rng, KnownAnswers) {
+  // Literal outputs (also produced by an independent transcription of the
+  // MT19937-64 reference code), so this does not rest on the oracle alone.
+  Rng zero{0};
+  EXPECT_EQ(zero.next_u64(), 0xE472A21D82B9E8C8ull);
+  EXPECT_EQ(zero.next_u64(), 0xEC92536DBA8BE242ull);
+  EXPECT_EQ(zero.next_u64(), 0xC63899882968E434ull);
+  Rng other{20260101};
+  EXPECT_EQ(other.next_u64(), 0x997A43DF8243FAFEull);
+  EXPECT_EQ(other.next_u64(), 0xEA46FEA39D079281ull);
+  EXPECT_EQ(other.next_u64(), 0xC8C7D93BDF506299ull);
+}
+
+TEST(Rng, TenThousandthOutputIsTheStandardsRequiredValue) {
+  // The C++ standard requires the 10000th output of a default-seeded
+  // (5489) mt19937_64 to be 9981545732273789042.
+  ASSERT_EQ(mix(unmix(5489)), 5489u);
+  Rng rng{unmix(5489)};
+  for (int i = 0; i < 9999; ++i) rng.next_u64();
+  EXPECT_EQ(rng.next_u64(), 9981545732273789042ull);
 }
 
 TEST(EventQueue, RunsInTimeOrder) {

@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <stdexcept>
 
 #include "markov/uniformization.h"
@@ -245,6 +246,31 @@ TEST(InterleavedArray, Validation) {
   EXPECT_THROW(run_interleaved_trial(cfg, 1.0), std::invalid_argument);
   EXPECT_THROW(interleaved_fail_fraction(InterleavedArrayConfig{}, 1.0, 0),
                std::invalid_argument);
+}
+
+TEST(InterleavedArray, RejectsNonFiniteRates) {
+  // A NaN rate used to report 0 arrivals and 0 failures, and a NaN MBU
+  // probability counted as 0.
+  InterleavedArrayConfig cfg;
+  cfg.rates.seu_rate_per_bit_hour = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_THROW(run_interleaved_trial(cfg, 1.0), std::invalid_argument);
+  cfg.rates.seu_rate_per_bit_hour = std::numeric_limits<double>::infinity();
+  EXPECT_THROW(run_interleaved_trial(cfg, 1.0), std::invalid_argument);
+  cfg.rates.seu_rate_per_bit_hour = 1e-6;
+  cfg.rates.mbu_probability = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_THROW(run_interleaved_trial(cfg, 1.0), std::invalid_argument);
+}
+
+TEST(InterleavedArray, RejectsNonFiniteHorizon) {
+  // t_hours = +inf used to never return.
+  InterleavedArrayConfig cfg;
+  cfg.rates.seu_rate_per_bit_hour = 1e-6;
+  EXPECT_THROW(
+      run_interleaved_trial(cfg, std::numeric_limits<double>::infinity()),
+      std::invalid_argument);
+  EXPECT_THROW(
+      run_interleaved_trial(cfg, std::numeric_limits<double>::quiet_NaN()),
+      std::invalid_argument);
 }
 
 TEST(InterleavedArray, NoFaultsNoFailures) {
