@@ -1,7 +1,7 @@
 // E10 -- microbenchmarks (google-benchmark): RS codec encode/decode
 // throughput for the paper's codes, chain construction, and transient
 // solves. These are engineering numbers for library users, not paper
-// artifacts.
+// artifacts; the benchmark of record is perfbench/ (BENCHMARK.json).
 //
 // Every RS codec case is reported for BOTH implementations side by side:
 //   *_legacy    -- the Poly-based reference codec (test oracle, rsmem_oracles)
@@ -9,32 +9,24 @@
 // and the batch-plane cases additionally A/B the SIMD kernel layer:
 //   *_scalar    -- gf::simd forced to the scalar control (original loops)
 //   *_simd      -- the backend the runtime dispatcher selected on this host
-// tools/run_bench.sh snapshots this binary's JSON output into
-// BENCH_codec.json at the repo root to track the perf trajectory. The JSON
-// context carries `rsmem_build_type` (from this binary's NDEBUG state — the
-// system libbenchmark's own library_build_type may say "debug" regardless)
-// and `gf_backend` (the dispatcher's pick); run_bench.sh refuses to record
-// a snapshot whose rsmem_build_type is not "release".
+// The JSON context (--benchmark_out=FILE) carries `rsmem_build_type` (from
+// this binary's NDEBUG state — the system libbenchmark's own
+// library_build_type may say "debug" regardless) and `gf_backend` (the
+// dispatcher's pick), so a saved run says what produced it.
 //
 // `--plane-selfcheck`: instead of benchmarks, times encode_batch over a
 // large plane under the forced-scalar control vs the selected backend and
 // asserts the >= 2x speedup contract when a PSHUFB-or-better backend
 // (ssse3/avx2/gfni) is selected (record-only on hosts without one). Exit
-// code 0 iff the check passes, so CI and run_bench.sh can gate on it.
+// code 0 iff the check passes. It is a manual gate, not a CTest test:
 //
-// `--backend-sweep`: additionally registers the RS(36,16) x4096
-// encode/decode plane cases once per backend SUPPORTED on this host (not
-// just the scalar/selected pair), so one JSON snapshot carries the whole
-// backend ladder. The host's relevant CPU feature flags ride along in the
-// JSON context (`cpu_flags`) so ladders from different machines compare
-// honestly.
+//   build/bench/bench_codec_throughput --plane-selfcheck
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
-#include <string>
 
 #include "gf/simd_mul.h"
 #include "markov/uniformization.h"
@@ -416,69 +408,20 @@ int run_plane_selfcheck() {
   return 0;
 }
 
-// The host CPU's SIMD-relevant feature flags, for the JSON context: a
-// backend ladder only means something next to the silicon that ran it.
-std::string cpu_flags_string() {
-#if defined(__x86_64__) || defined(__i386__)
-  std::string flags;
-  const auto add = [&](bool have, const char* name) {
-    if (!have) return;
-    if (!flags.empty()) flags += ' ';
-    flags += name;
-  };
-  add(__builtin_cpu_supports("ssse3") != 0, "ssse3");
-  add(__builtin_cpu_supports("avx2") != 0, "avx2");
-  add(__builtin_cpu_supports("gfni") != 0, "gfni");
-  add(__builtin_cpu_supports("avx512f") != 0, "avx512f");
-  add(__builtin_cpu_supports("avx512bw") != 0, "avx512bw");
-  add(__builtin_cpu_supports("avx512vl") != 0, "avx512vl");
-  return flags.empty() ? "none" : flags;
-#else
-  return "non-x86";
-#endif
-}
-
-// --backend-sweep: one encode + one decode plane case per backend this host
-// can run, named ..._sweep_<backend> so run_bench.sh's snapshot carries the
-// full ladder alongside the static scalar/selected pairs.
-void register_backend_sweep() {
-  for (const gf::simd::Backend b : gf::simd::kAllBackends) {
-    if (!gf::simd::backend_supported(b)) continue;
-    const std::string suffix = std::string("rs3616_x4096_sweep_") +
-                               gf::simd::to_string(b);
-    benchmark::RegisterBenchmark(
-        ("BM_EncodePlane/" + suffix).c_str(),
-        [b](benchmark::State& s) { BM_EncodePlane(s, code3616(), b, 4096); });
-    benchmark::RegisterBenchmark(
-        ("BM_DecodePlane/" + suffix).c_str(),
-        [b](benchmark::State& s) { BM_DecodePlane(s, code3616(), b, 4096); });
-  }
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool backend_sweep = false;
-  int kept = 1;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--plane-selfcheck") == 0) {
       return run_plane_selfcheck();
     }
-    if (std::strcmp(argv[i], "--backend-sweep") == 0) {
-      backend_sweep = true;
-      continue;  // strip: google-benchmark would reject the flag
-    }
-    argv[kept++] = argv[i];
   }
-  argc = kept;
 #if defined(NDEBUG)
   benchmark::AddCustomContext("rsmem_build_type", "release");
 #else
   benchmark::AddCustomContext("rsmem_build_type", "debug");
 #endif
   benchmark::AddCustomContext("gf_backend", gf::simd::active().name);
-  benchmark::AddCustomContext("cpu_flags", cpu_flags_string());
-  if (backend_sweep) register_backend_sweep();
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   benchmark::RunSpecifiedBenchmarks();

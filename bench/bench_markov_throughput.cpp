@@ -5,13 +5,9 @@
 // curve vs the old from-scratch-per-point evaluation. Both references are
 // built here at their old cost: a chain build per curve and one solve()
 // -- a fresh workspace -- per grid step or scrub cycle.
-//
-// Writes a JSON snapshot when given --out <path> (tools/run_bench.sh
-// records it as BENCH_markov.json).
 #include <chrono>
 #include <cmath>
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <thread>
 #include <vector>
@@ -67,24 +63,9 @@ bool bitwise_equal(const std::vector<analysis::Series>& a,
   return true;
 }
 
-struct JsonEntry {
-  std::string name;
-  double real_time_ms;
-  double speedup_vs_legacy;
-};
-
 }  // namespace
 
-int main(int argc, char** argv) {
-  const char* out_path = nullptr;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) {
-      out_path = argv[++i];
-    } else if (std::strncmp(argv[i], "--out=", 6) == 0) {
-      out_path = argv[i] + 6;
-    }
-  }
-
+int main() {
   bench::print_header(
       "bench_markov_throughput", "Fig. 7 pipeline",
       "Markov sweep engine (chain cache + workspace + dense steps + "
@@ -92,7 +73,6 @@ int main(int argc, char** argv) {
 
   const unsigned hw = std::thread::hardware_concurrency();
   bench::ShapeChecks checks;
-  std::vector<JsonEntry> json;
 
   // ---- Section 1: Fig. 7 scrub-period sweep, end to end. ----
   const double periods[] = {900.0, 1200.0, 1800.0, 3600.0};
@@ -181,9 +161,6 @@ int main(int argc, char** argv) {
                 analysis::format_fixed(speedup4, 2)});
   std::printf("\nFig. 7 sweep (4 periods x %zu points), best of %d:\n%s\n",
               kPoints, reps, perf.to_text().c_str());
-  json.push_back({"fig7_sweep_legacy_serial", t_legacy * 1e3, 1.0});
-  json.push_back({"fig7_sweep_engine_1thread", t_engine1 * 1e3, speedup1});
-  json.push_back({"fig7_sweep_engine_4threads", t_engine4 * 1e3, speedup4});
 
   if (hw >= 4) {
     checks.expect(speedup4 >= 3.0,
@@ -304,37 +281,10 @@ int main(int argc, char** argv) {
   std::printf(
       "\nPeriodic scrub occupancy (Tsc=900 s, 192 cycles, %zu points):\n%s\n",
       kPoints, periodic.to_text().c_str());
-  json.push_back(
-      {"periodic_scrub_from_scratch", t_scratch * 1e3, 1.0});
-  json.push_back(
-      {"periodic_scrub_incremental", t_incr * 1e3, periodic_speedup});
-  json.push_back({"periodic_scrub_engine", t_engine_periodic * 1e3,
-                  t_scratch / t_engine_periodic});
 
   // O(cycles^2) -> O(cycles): architecturally ~10x here, so a 3x floor is
   // safe on any machine.
   checks.expect(periodic_speedup >= 3.0,
                 "incremental periodic curve >= 3x from-scratch");
-
-  if (out_path != nullptr) {
-    std::FILE* f = std::fopen(out_path, "w");
-    if (f == nullptr) {
-      std::printf("FAIL: cannot write %s\n", out_path);
-      return 1;
-    }
-    std::fprintf(f, "{\n  \"context\": {\"hardware_concurrency\": %u},\n", hw);
-    std::fprintf(f, "  \"benchmarks\": [\n");
-    for (std::size_t i = 0; i < json.size(); ++i) {
-      std::fprintf(f,
-                   "    {\"name\": \"%s\", \"real_time_ms\": %.3f, "
-                   "\"speedup_vs_legacy\": %.2f}%s\n",
-                   json[i].name.c_str(), json[i].real_time_ms,
-                   json[i].speedup_vs_legacy,
-                   i + 1 < json.size() ? "," : "");
-    }
-    std::fprintf(f, "  ]\n}\n");
-    std::fclose(f);
-    std::printf("wrote %s\n", out_path);
-  }
   return checks.exit_code();
 }

@@ -4,18 +4,7 @@
 //
 // For each scenario the Monte-Carlo estimate and its 95% Wilson interval
 // are printed against the chain prediction(s).
-//
-// The campaign-throughput sections (threads, batched planes)
-// can additionally be recorded into the BENCH_codec.json snapshot:
-// `--campaign-json <path>` parses the google-benchmark JSON at <path> and
-// inserts a top-level `mc_campaign` object whose context names the rsmem
-// build type and the SELECTED gf backend — campaign trials/s without the
-// backend that produced them is not a comparable number. run_bench.sh
-// passes BENCH_codec.json here after its release-build guard.
 #include <algorithm>
-#include <cstring>
-#include <fstream>
-#include <sstream>
 #include <thread>
 
 #include "bench_common.h"
@@ -24,7 +13,6 @@
 #include "gf/simd_mul.h"
 #include "markov/uniformization.h"
 #include "models/ber.h"
-#include "service/json.h"
 
 using namespace rsmem;
 
@@ -38,75 +26,9 @@ struct Scenario {
   double scrub_period_seconds;
 };
 
-// Campaign throughput numbers accumulated for the --campaign-json merge.
-struct CampaignJson {
-  double single_trials_per_second = 0.0;
-  double parallel_trials_per_second = 0.0;
-  double per_word_trials_per_second = 0.0;
-  double batched_trials_per_second = 0.0;
-};
-
-// Inserts/overwrites `mc_campaign` in the benchmark JSON at `path` using
-// the canonical service serializer (sorted keys, round-trip-exact doubles).
-int merge_campaign_json(const char* path, const CampaignJson& numbers) {
-  std::ifstream in(path);
-  if (!in) {
-    std::fprintf(stderr, "error: cannot read %s\n", path);
-    return 1;
-  }
-  std::ostringstream text;
-  text << in.rdbuf();
-  auto parsed = service::Json::parse(text.str());
-  if (!parsed.ok() || !parsed.value().is_object()) {
-    std::fprintf(stderr, "error: %s is not a JSON object\n", path);
-    return 1;
-  }
-  service::JsonObject root = parsed.value().as_object();
-  root["mc_campaign"] = service::JsonObject{
-      {"context",
-       service::JsonObject{
-#if defined(NDEBUG)
-           {"rsmem_build_type", "release"},
-#else
-           {"rsmem_build_type", "debug"},
-#endif
-           {"gf_backend", gf::simd::active().name},
-       }},
-      {"threads",
-       service::JsonObject{
-           {"single_trials_per_second", numbers.single_trials_per_second},
-           {"parallel_trials_per_second", numbers.parallel_trials_per_second},
-       }},
-      {"batched_campaign",
-       service::JsonObject{
-           {"gf_backend", gf::simd::active().name},
-           {"per_word_trials_per_second", numbers.per_word_trials_per_second},
-           {"batched_trials_per_second", numbers.batched_trials_per_second},
-       }},
-  };
-  std::ofstream out_file(path, std::ios::trunc);
-  if (!out_file) {
-    std::fprintf(stderr, "error: cannot write %s\n", path);
-    return 1;
-  }
-  out_file << service::Json{std::move(root)}.serialize() << "\n";
-  return out_file ? 0 : 1;
-}
-
 }  // namespace
 
-int main(int argc, char** argv) {
-  const char* campaign_json_path = nullptr;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--campaign-json") == 0 && i + 1 < argc) {
-      campaign_json_path = argv[++i];
-    } else {
-      std::fprintf(stderr,
-                   "usage: bench_mc_vs_markov [--campaign-json <path>]\n");
-      return 2;
-    }
-  }
-  CampaignJson numbers;
+int main() {
   bench::print_header(
       "bench_mc_vs_markov", "model validation (DESIGN.md E8)",
       "functional Monte-Carlo vs Markov P_Fail(48h), accelerated rates");
@@ -196,8 +118,6 @@ int main(int argc, char** argv) {
   const analysis::MonteCarloResult parallel =
       simulate(spec, mc, memory::ScrubPolicy::kExponential, &parallel_report);
 
-  numbers.single_trials_per_second = single_report.trials_per_second;
-  numbers.parallel_trials_per_second = parallel_report.trials_per_second;
   const double speedup =
       single_report.trials_per_second > 0.0
           ? parallel_report.trials_per_second / single_report.trials_per_second
@@ -252,8 +172,8 @@ int main(int argc, char** argv) {
   // quiet rep but not the other's. The gate takes the BEST paired rep --
   // the run_plane_selfcheck best-of-N idiom, estimating the uncontended
   // speedup (host contention is not the thing under test); the median is
-  // printed alongside for transparency. Throughputs reported (and merged
-  // into the campaign JSON) are likewise each arm's best rep.
+  // printed alongside for transparency. Throughputs reported are likewise
+  // each arm's best rep.
   constexpr int kPairReps = 7;
   analysis::MonteCarloResult per_word;
   analysis::MonteCarloResult batched;
@@ -281,8 +201,6 @@ int main(int argc, char** argv) {
   }
   std::sort(rep_speedups, rep_speedups + kPairReps);
 
-  numbers.per_word_trials_per_second = per_word_best;
-  numbers.batched_trials_per_second = batched_best;
   const double batch_speedup = rep_speedups[kPairReps - 1];
   const double batch_speedup_median = rep_speedups[kPairReps / 2];
   const gf::simd::Backend selected = gf::simd::active().backend;
@@ -322,9 +240,5 @@ int main(int argc, char** argv) {
         gf::simd::to_string(selected));
   }
 
-  if (checks.exit_code() == 0 && campaign_json_path != nullptr) {
-    if (merge_campaign_json(campaign_json_path, numbers) != 0) return 1;
-    std::printf("merged mc_campaign section into %s\n", campaign_json_path);
-  }
   return checks.exit_code();
 }

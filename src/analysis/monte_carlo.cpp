@@ -114,20 +114,10 @@ std::shared_ptr<const rs::ReedSolomon> chunk_code(
           code.get()};
 }
 
-MonteCarloResult run_campaign(const MonteCarloConfig& config,
-                              const ChunkRunner& chunk_with_acc,
-                              CampaignReport* report,
-                              CampaignProgress* progress,
-                              std::vector<MonteCarloAccumulator>& shards) {
-  CampaignConfig campaign;
-  campaign.trials = config.trials;
-  campaign.chunk_trials = config.chunk_trials;
-  campaign.threads = config.threads;
-  shards.assign(campaign_chunk_count(campaign), MonteCarloAccumulator{});
-  run_chunked(campaign, chunk_with_acc, report, progress);
-  MonteCarloAccumulator total;
-  for (const MonteCarloAccumulator& shard : shards) total.merge_from(shard);
-  return total.finalize();
+// run_sharded's fold of one chunk's accumulator into the campaign total.
+void merge_shard(MonteCarloAccumulator& total,
+                 const MonteCarloAccumulator& shard) {
+  total.merge_from(shard);
 }
 
 }  // namespace
@@ -207,18 +197,16 @@ MonteCarloResult run_simplex_trials(const memory::SimplexSystemConfig& system,
   const sim::Rng root{config.seed};
   const std::shared_ptr<const rs::ReedSolomon> shared_code =
       campaign_code(system.shared_code, system.code);
-  std::vector<MonteCarloAccumulator> shards;
   const std::size_t batch = resolve_batch_width(config, system.degradation);
   const unsigned n = system.code.n;
   const unsigned k = system.code.k;
-  const auto chunk = [&](std::size_t chunk_index, std::size_t first,
-                         std::size_t last) {
+  const auto chunk = [&](std::size_t first, std::size_t last,
+                         MonteCarloAccumulator& acc) {
     // One batch workspace per campaign thread (the thread-safety rule of
     // the codec); it persists across chunks and campaigns so steady-state
     // trials allocate no codec scratch at all. Per-word decodes inside the
     // systems use the codec's own per-thread workspace.
     thread_local rs::DecoderWorkspace ws;
-    MonteCarloAccumulator& acc = shards[chunk_index];
     const std::shared_ptr<const rs::ReedSolomon> code =
         chunk_code(shared_code);
     // Constructs one trial's system (no data stored yet).
@@ -316,7 +304,11 @@ MonteCarloResult run_simplex_trials(const memory::SimplexSystemConfig& system,
       }
     });
   };
-  return run_campaign(config, chunk, report, progress, shards);
+  return run_sharded<MonteCarloAccumulator>(
+             CampaignConfig{config.trials, config.chunk_trials,
+                            config.threads},
+             chunk, merge_shard, report, progress)
+      .finalize();
 }
 
 MonteCarloResult run_duplex_trials(const memory::DuplexSystemConfig& system,
@@ -327,14 +319,12 @@ MonteCarloResult run_duplex_trials(const memory::DuplexSystemConfig& system,
   const sim::Rng root{config.seed};
   const std::shared_ptr<const rs::ReedSolomon> shared_code =
       campaign_code(system.shared_code, system.code);
-  std::vector<MonteCarloAccumulator> shards;
   const std::size_t batch = resolve_batch_width(config, system.degradation);
   const unsigned n = system.code.n;
   const unsigned k = system.code.k;
-  const auto chunk = [&](std::size_t chunk_index, std::size_t first,
-                         std::size_t last) {
+  const auto chunk = [&](std::size_t first, std::size_t last,
+                         MonteCarloAccumulator& acc) {
     thread_local rs::DecoderWorkspace ws;
-    MonteCarloAccumulator& acc = shards[chunk_index];
     const std::shared_ptr<const rs::ReedSolomon> code =
         chunk_code(shared_code);
     const auto build_system = [&](std::size_t trial) {
@@ -437,7 +427,11 @@ MonteCarloResult run_duplex_trials(const memory::DuplexSystemConfig& system,
       }
     });
   };
-  return run_campaign(config, chunk, report, progress, shards);
+  return run_sharded<MonteCarloAccumulator>(
+             CampaignConfig{config.trials, config.chunk_trials,
+                            config.threads},
+             chunk, merge_shard, report, progress)
+      .finalize();
 }
 
 }  // namespace rsmem::analysis

@@ -107,7 +107,7 @@ int cmd_help(std::ostream& out) {
          "            [--self-host | --at ...] [--clients N --requests R\n"
          "            --distinct K] [--kind sweep|ber|mttf] [spec]\n"
          "            [--shards S] [--open-loop [--rate RPS]]\n"
-         "            [--shard-sweep 1,2,4] [--json BENCH_serve.json]\n"
+         "            [--shard-sweep 1,2,4] [--json FILE]\n"
          "            (open loop pipelines scheduled arrivals; kOverloaded\n"
          "            rejections count separately from errors)\n"
          "  chaos     transport fault-injection campaign against live\n"
@@ -777,7 +777,7 @@ int cmd_loadgen(const Args& args, std::ostream& out) {
     std::string payload = service::loadgen_report_json(config, report);
     if (!scaling.empty()) {
       // Splice the scaling section into the report object so one file
-      // carries the whole snapshot (BENCH_serve.json schema).
+      // carries the whole report.
       core::Result<service::Json> parsed = service::Json::parse(payload);
       if (!parsed.ok()) throw core::StatusError(parsed.status());
       service::JsonObject object = parsed.value().as_object();

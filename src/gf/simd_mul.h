@@ -7,7 +7,7 @@
 //   mul_const_acc:  dst[i] ^= c * src[i]      (constant c, vector src)
 //   xor_acc:        dst[i] ^= src[i]
 //   mul_rows_acc:   dst_r[i] ^= c_r * src[i]  (many constants, one src row;
-//                   optional fused form of a mul_const_acc loop)
+//                   fused form of a mul_const_acc loop, vector backends)
 //
 // Constant-by-vector multiplication uses the ISA-L-style split-nibble
 // decomposition: c*x = c*(x & 0xF) ^ c*(x & 0xF0), each factor a 16-entry
@@ -52,7 +52,7 @@ namespace rsmem::gf::simd {
 enum class Backend : std::uint8_t { kScalar = 0, kSsse3, kAvx2, kGfni };
 
 // Every backend, in dispatch preference order (best last). Iteration helper
-// for version reporting, the differential suite, and the bench sweeps.
+// for version reporting and the differential suite.
 inline constexpr Backend kAllBackends[] = {Backend::kScalar, Backend::kSsse3,
                                            Backend::kAvx2, Backend::kGfni};
 
@@ -98,9 +98,10 @@ struct Kernels {
   // source loads (and, on the PSHUFB backends, the nibble extraction) are
   // paid once per vector step instead of once per row — the shape of the
   // batch codec's syndrome/parity sweeps, which call this once per
-  // codeword position. OPTIONAL: may be nullptr (kScalar leaves it null);
-  // callers must fall back to the mul_const_acc loop. The dst rows must
-  // not overlap src or each other.
+  // codeword position. Every vector backend (ssse3, avx2, gfni) must
+  // provide it; only kScalar leaves it null, and the codec never runs its
+  // batch sweeps through the kScalar set. The dst rows must not overlap
+  // src or each other.
   void (*mul_rows_acc)(std::uint8_t* dst, std::size_t dst_stride,
                        const std::uint8_t* src, const MulTables* tables,
                        std::size_t rows, std::size_t len) = nullptr;

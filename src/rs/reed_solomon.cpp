@@ -24,7 +24,8 @@ constexpr std::size_t kMaxSymbols = 256;
 
 // Returns the active kernel set when the SIMD layer should serve this
 // code, nullptr when the scalar loops must run (m > 8, or the selected
-// backend is the scalar A/B control).
+// backend is the scalar A/B control). A non-null set is a vector backend,
+// so it has mul_rows_acc (gf/simd_mul.h).
 inline const gf::simd::Kernels* simd_kernels_for(unsigned m) {
   if (m > 8) return nullptr;
   const gf::simd::Kernels& k = gf::simd::active();
@@ -348,22 +349,12 @@ void ReedSolomon::encode_batch(DecoderWorkspace& ws,
         in[p * stride + w] = static_cast<std::uint8_t>(word[p]);
       }
     }
-    if (kn->mul_rows_acc != nullptr) {
-      // Fused sweep: one kernel call per data position updates every
-      // parity row (encode_mul rows for a position are contiguous).
-      // Reordering the XOR accumulation is exact, so still bit-identical.
-      for (std::size_t p = 0; p < k; ++p) {
-        kn->mul_rows_acc(acc, stride, in + p * stride,
-                         st->encode_mul.data() + p * two_t, two_t, count);
-      }
-    } else {
-      for (std::size_t j = 0; j < two_t; ++j) {
-        std::uint8_t* dst = acc + j * stride;
-        for (std::size_t p = 0; p < k; ++p) {
-          kn->mul_const_acc(dst, in + p * stride,
-                            st->encode_mul[p * two_t + j], count);
-        }
-      }
+    // Fused sweep: one kernel call per data position updates every
+    // parity row (encode_mul rows for a position are contiguous).
+    // Reordering the XOR accumulation is exact, so still bit-identical.
+    for (std::size_t p = 0; p < k; ++p) {
+      kn->mul_rows_acc(acc, stride, in + p * stride,
+                       st->encode_mul.data() + p * two_t, two_t, count);
     }
     for (std::size_t w = 0; w < count; ++w) {
       Element* cw = codeword_plane.data() + w * n;
@@ -426,22 +417,12 @@ void ReedSolomon::decode_batch(
         in[p * stride + w] = static_cast<std::uint8_t>(word[p]);
       }
     }
-    if (kn->mul_rows_acc != nullptr) {
-      // Fused sweep: one kernel call per codeword position updates every
-      // syndrome row (synd_mul rows for a position are contiguous).
-      // Reordering the XOR accumulation is exact, so still bit-identical.
-      for (std::size_t p = 0; p < n; ++p) {
-        kn->mul_rows_acc(acc, stride, in + p * stride,
-                         st->synd_mul.data() + p * two_t, two_t, count);
-      }
-    } else {
-      for (std::size_t j = 0; j < two_t; ++j) {
-        std::uint8_t* dst = acc + j * stride;
-        for (std::size_t p = 0; p < n; ++p) {
-          kn->mul_const_acc(dst, in + p * stride,
-                            st->synd_mul[p * two_t + j], count);
-        }
-      }
+    // Fused sweep: one kernel call per codeword position updates every
+    // syndrome row (synd_mul rows for a position are contiguous).
+    // Reordering the XOR accumulation is exact, so still bit-identical.
+    for (std::size_t p = 0; p < n; ++p) {
+      kn->mul_rows_acc(acc, stride, in + p * stride,
+                       st->synd_mul.data() + p * two_t, two_t, count);
     }
     for (std::size_t j = 0; j < two_t; ++j) {
       const std::uint8_t* row = acc + j * stride;

@@ -20,8 +20,7 @@
 // The report separates latency by cache source; the hot-query speedup is
 // miss_mean / hit_mean. With self_host the loadgen spins up an in-process
 // Server on a private Unix socket — the full wire protocol, no external
-// daemon needed (tools/run_bench.sh uses this to snapshot
-// BENCH_serve.json).
+// daemon needed.
 #ifndef RSMEM_SERVICE_LOADGEN_H
 #define RSMEM_SERVICE_LOADGEN_H
 
@@ -76,14 +75,15 @@ core::Result<LoadgenReport> run_loadgen(const LoadgenConfig& config);
 std::string format_loadgen_report(const LoadgenConfig& config,
                                   const LoadgenReport& report);
 
-// JSON snapshot (BENCH_serve.json schema; see docs/SERVICE.md).
+// JSON report, as `rsmem_cli loadgen --json FILE` writes it (see
+// docs/SERVICE.md).
 std::string loadgen_report_json(const LoadgenConfig& config,
                                 const LoadgenReport& report);
 
 // ---------------------------------------------------------------------------
 // Shard-scaling sweep: the same open-loop workload replayed against
 // self-hosted servers at each shard count, so throughput can be compared
-// apples-to-apples (tools/run_bench.sh appends this to BENCH_serve.json).
+// apples-to-apples (`rsmem_cli loadgen --shard-sweep`).
 
 struct ShardScalingPoint {
   unsigned shards = 0;
@@ -98,7 +98,7 @@ core::Result<std::vector<ShardScalingPoint>> run_shard_scaling(
 // Human-readable scaling table (speedups are relative to the first point).
 std::string format_shard_scaling(const std::vector<ShardScalingPoint>& points);
 
-// JSON object for the BENCH_serve.json "shard_scaling" key: the hardware
+// JSON object for the report's "shard_scaling" key: the hardware
 // core count (scaling is core-bound), one entry per point, and each
 // point's throughput speedup relative to the first.
 Json shard_scaling_json(const std::vector<ShardScalingPoint>& points);

@@ -6,7 +6,7 @@
 
 namespace rsmem::sim {
 
-std::uint64_t EventQueue::schedule_at(double when, EventAction action) {
+void EventQueue::schedule_at(double when, EventAction action) {
   if (!std::isfinite(when) || when < now_) {
     throw std::invalid_argument(
         "EventQueue::schedule_at: time must be finite and >= now");
@@ -14,61 +14,29 @@ std::uint64_t EventQueue::schedule_at(double when, EventAction action) {
   if (!action) {
     throw std::invalid_argument("EventQueue::schedule_at: empty action");
   }
-  const std::uint64_t id = next_seq_++;
-  heap_.push(Entry{when, id, std::move(action)});
-  return id;
+  heap_.push_back(Entry{when, next_seq_++, std::move(action)});
+  std::push_heap(heap_.begin(), heap_.end(), Later{});
 }
 
-std::uint64_t EventQueue::schedule_in(double delay, EventAction action) {
-  return schedule_at(now_ + delay, std::move(action));
-}
-
-bool EventQueue::cancel(std::uint64_t id) {
-  if (id >= next_seq_) return false;
-  if (is_cancelled(id)) return false;
-  // We cannot remove from the middle of a priority queue; remember the id
-  // and skip the entry when it surfaces.
-  cancelled_.insert(
-      std::lower_bound(cancelled_.begin(), cancelled_.end(), id), id);
-  return true;
-}
-
-bool EventQueue::is_cancelled(std::uint64_t id) const {
-  return std::binary_search(cancelled_.begin(), cancelled_.end(), id);
-}
-
-void EventQueue::forget_cancelled(std::uint64_t id) {
-  const auto it = std::lower_bound(cancelled_.begin(), cancelled_.end(), id);
-  if (it != cancelled_.end() && *it == id) cancelled_.erase(it);
+void EventQueue::schedule_in(double delay, EventAction action) {
+  schedule_at(now_ + delay, std::move(action));
 }
 
 bool EventQueue::step() {
-  while (!heap_.empty()) {
-    Entry top = heap_.top();
-    heap_.pop();
-    if (is_cancelled(top.seq)) {
-      forget_cancelled(top.seq);
-      continue;
-    }
-    now_ = top.when;
-    top.action();
-    return true;
-  }
-  return false;
+  if (heap_.empty()) return false;
+  std::pop_heap(heap_.begin(), heap_.end(), Later{});
+  Entry next = std::move(heap_.back());
+  heap_.pop_back();
+  now_ = next.when;
+  next.action();
+  return true;
 }
 
 void EventQueue::run_until(double until) {
   if (until < now_) {
     throw std::invalid_argument("EventQueue::run_until: until < now");
   }
-  while (!heap_.empty() && heap_.top().when <= until) {
-    if (is_cancelled(heap_.top().seq)) {
-      forget_cancelled(heap_.top().seq);
-      heap_.pop();
-      continue;
-    }
-    step();
-  }
+  while (!heap_.empty() && heap_.front().when <= until) step();
   now_ = until;
 }
 

@@ -9,7 +9,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <queue>
 #include <vector>
 
 namespace rsmem::sim {
@@ -24,15 +23,11 @@ class EventQueue {
   bool empty() const { return heap_.empty(); }
   std::size_t pending() const { return heap_.size(); }
 
-  // Schedules `action` at absolute time `when` (>= now). Returns an id that
-  // can be used to cancel the event. Throws std::invalid_argument for
-  // events in the past or non-finite times.
-  std::uint64_t schedule_at(double when, EventAction action);
+  // Schedules `action` at absolute time `when` (>= now). Throws
+  // std::invalid_argument for events in the past or non-finite times.
+  void schedule_at(double when, EventAction action);
   // Schedules relative to the current time.
-  std::uint64_t schedule_in(double delay, EventAction action);
-
-  // Cancels a pending event; returns false if it already ran / was cancelled.
-  bool cancel(std::uint64_t id);
+  void schedule_in(double delay, EventAction action);
 
   // Runs events in time order until the queue is empty or the next event is
   // later than `until`; the clock ends at exactly `until`.
@@ -44,7 +39,7 @@ class EventQueue {
  private:
   struct Entry {
     double when;
-    std::uint64_t seq;  // insertion order; also the cancellation id
+    std::uint64_t seq;  // insertion order
     EventAction action;
   };
   struct Later {
@@ -54,13 +49,11 @@ class EventQueue {
     }
   };
 
-  std::priority_queue<Entry, std::vector<Entry>, Later> heap_;
-  std::vector<std::uint64_t> cancelled_;  // sorted ids pending removal
+  // A binary heap under Later: the earliest (when, seq) is at the front.
+  // Entries are moved in and out, so an action is never copied.
+  std::vector<Entry> heap_;
   double now_ = 0.0;
   std::uint64_t next_seq_ = 0;
-
-  bool is_cancelled(std::uint64_t id) const;
-  void forget_cancelled(std::uint64_t id);
 };
 
 }  // namespace rsmem::sim

@@ -23,6 +23,7 @@
 #include <cstdio>
 #include <fstream>
 #include <future>
+#include <latch>
 #include <memory>
 #include <string>
 #include <thread>
@@ -251,13 +252,50 @@ TEST(ResilientClientHedging, HedgeLaneWinsWhenPrimaryIsSilent) {
 // ---------------------------------------------------------------------------
 // Brown-out + watchdog (scheduler level).
 
+// Holds a one-worker scheduler's worker inside the first request callback
+// that runs, until release(). The worker counts a request completed and
+// notes progress before it calls the callback, so while it is held nothing
+// more completes: in-flight depth cannot fall, and the time since the last
+// progress only grows. Declare it before the scheduler, so callbacks that
+// run while ~AnalysisScheduler drains still reach it, and a ReleaseAtExit
+// after the scheduler.
+class WorkerHold {
+ public:
+  void hold_if_first() {
+    if (!taken_.exchange(true)) released_.wait();
+  }
+  // Idempotent; called from the test thread only.
+  void release() {
+    if (!released_.try_wait()) released_.count_down();
+  }
+
+ private:
+  std::atomic<bool> taken_{false};
+  std::latch released_{1};
+};
+
+// Releases the hold at scope exit, so a failed ASSERT that returns early
+// cannot leave ~AnalysisScheduler waiting on the held worker.
+class ReleaseAtExit {
+ public:
+  explicit ReleaseAtExit(WorkerHold& hold) : hold_(hold) {}
+  ReleaseAtExit(const ReleaseAtExit&) = delete;
+  ReleaseAtExit& operator=(const ReleaseAtExit&) = delete;
+  ~ReleaseAtExit() { hold_.release(); }
+
+ private:
+  WorkerHold& hold_;
+};
+
 TEST(SchedulerBrownout, ShedsMissesTypedAndServesHitsInline) {
   SchedulerConfig config;
   config.threads = 1;
   config.max_queue = 8;  // derived watermarks: enter 6, exit 2
   config.batch_max = 4;
   config.cache_capacity = 64;
+  WorkerHold hold;
   AnalysisScheduler scheduler(config);
+  const ReleaseAtExit release_hold{hold};
 
   // Warm one key the normal way, so a brown-out has a hit to serve.
   const Request warm = heavy_request(1000);
@@ -274,7 +312,10 @@ TEST(SchedulerBrownout, ShedsMissesTypedAndServesHitsInline) {
   for (int i = 0; i < kFlood; ++i) {
     const core::Status admitted = scheduler.submit(
         heavy_request(static_cast<unsigned>(i)),
-        [&answered](Response) { answered.fetch_add(1); });
+        [&answered, &hold](Response) {
+          hold.hold_if_first();
+          answered.fetch_add(1);
+        });
     if (admitted.is_ok()) {
       ++accepted;
     } else {
@@ -307,6 +348,7 @@ TEST(SchedulerBrownout, ShedsMissesTypedAndServesHitsInline) {
   EXPECT_TRUE(hit_response.status.is_ok());
   EXPECT_EQ(hit_response.result_json, warmed.result_json);
 
+  hold.release();
   scheduler.stop();  // drains: every accepted flood callback fires exactly
                      // once (the warm hit used its own callback above)
   EXPECT_EQ(static_cast<std::uint64_t>(answered.load()), accepted);
@@ -323,12 +365,17 @@ TEST(SchedulerWatchdog, SurfacesStallWhileInFlightAndClearsWhenIdle) {
   config.threads = 1;
   config.max_queue = 64;
   config.watchdog_stall_ms = 0.0001;  // any in-flight instant counts
+  WorkerHold hold;
   AnalysisScheduler scheduler(config);
+  const ReleaseAtExit release_hold{hold};
   std::atomic<int> answered{0};
   for (int i = 0; i < 8; ++i) {
     ASSERT_TRUE(scheduler
                     .submit(heavy_request(static_cast<unsigned>(i)),
-                            [&answered](Response) { answered.fetch_add(1); })
+                            [&answered, &hold](Response) {
+                              hold.hold_if_first();
+                              answered.fetch_add(1);
+                            })
                     .is_ok());
   }
   bool observed_stuck = false;
@@ -344,6 +391,7 @@ TEST(SchedulerWatchdog, SurfacesStallWhileInFlightAndClearsWhenIdle) {
   }
   EXPECT_TRUE(observed_stuck)
       << "watchdog never reported the busy shard as stalled";
+  hold.release();
   scheduler.stop();
   const AnalysisScheduler::Stats idle = scheduler.stats();
   EXPECT_FALSE(idle.stuck);  // stall is a live condition, not a latch

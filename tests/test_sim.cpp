@@ -341,15 +341,52 @@ TEST(EventQueue, EventsMayScheduleEvents) {
   EXPECT_EQ(count, 5);
 }
 
-TEST(EventQueue, CancelPreventsExecution) {
+TEST(EventQueue, EventScheduledAtNowRunsAfterQueuedSameTimeEvents) {
   EventQueue q;
-  int fired = 0;
-  const auto id = q.schedule_at(1.0, [&] { ++fired; });
-  EXPECT_TRUE(q.cancel(id));
-  EXPECT_FALSE(q.cancel(id));  // already cancelled
+  std::vector<int> order;
+  q.schedule_at(1.0, [&] {
+    order.push_back(1);
+    q.schedule_at(q.now(), [&] { order.push_back(4); });
+  });
+  q.schedule_at(1.0, [&] { order.push_back(2); });
+  q.schedule_at(1.0, [&] { order.push_back(3); });
+  q.schedule_at(2.0, [&] { order.push_back(5); });
+  q.run_until(1.0);
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 3, 4}));
   q.run_until(2.0);
-  EXPECT_EQ(fired, 0);
-  EXPECT_FALSE(q.cancel(9999));  // unknown id
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 3, 4, 5}));
+}
+
+// A functor that counts its copies; moving it is free. Its user-declared
+// copy constructor keeps it out of std::function's small buffer, so the
+// queue can move an action only by moving its std::function.
+struct CopyCountingAction {
+  int* copies;
+  int* runs;
+  CopyCountingAction(int* copies_out, int* runs_out)
+      : copies(copies_out), runs(runs_out) {}
+  CopyCountingAction(const CopyCountingAction& other)
+      : copies(other.copies), runs(other.runs) {
+    ++*copies;
+  }
+  CopyCountingAction(CopyCountingAction&&) noexcept = default;
+  void operator()() const { ++*runs; }
+};
+
+TEST(EventQueue, RunsActionsWithoutCopyingThem) {
+  EventQueue q;
+  int copies = 0;
+  int runs = 0;
+  for (int i = 0; i < 16; ++i) {
+    q.schedule_at(static_cast<double>(16 - i),
+                  CopyCountingAction{&copies, &runs});
+  }
+  q.schedule_in(0.5, CopyCountingAction{&copies, &runs});
+  ASSERT_EQ(copies, 0);
+  EXPECT_TRUE(q.step());
+  q.run_until(20.0);
+  EXPECT_EQ(runs, 17);
+  EXPECT_EQ(copies, 0);
 }
 
 TEST(EventQueue, RejectsPastAndNonFinite) {

@@ -214,8 +214,10 @@ TEST(SimdKernels, MulRowsAccMatchesMulConstAccLoop) {
                                   src.data() + src_off, tables[r], len);
           }
           for (const simd::Backend b : supported_backends()) {
+            if (b == simd::Backend::kScalar) continue;
             const simd::Kernels* kn = kernels_of(b);
-            if (kn->mul_rows_acc == nullptr) continue;
+            // The batch codec calls it unguarded on every vector backend.
+            ASSERT_NE(kn->mul_rows_acc, nullptr) << simd::to_string(b);
             std::vector<std::uint8_t> got = dst;
             kn->mul_rows_acc(got.data(), stride, src.data() + src_off,
                              tables.data(), rows, len);
