@@ -77,16 +77,16 @@ void DuplexSystem::commit_store() {
   stored_ = true;
   injector1_->start();
   injector2_->start();
-  schedule_next_scrub();
+  start_scrubbing();
 }
 
-void DuplexSystem::schedule_next_scrub() {
+void DuplexSystem::start_scrubbing() {
   if (!scrubber_) return;
-  const double when = scrubber_->next_after(queue_.now());
-  if (!std::isfinite(when)) return;
-  queue_.schedule_at(when, [this] {
+  const double first = scrubber_->next_after(queue_.now());
+  if (!std::isfinite(first)) return;
+  queue_.set_tick(first, [this] {
     scrub();
-    schedule_next_scrub();
+    return scrubber_->next_after(queue_.now());
   });
 }
 
@@ -100,10 +100,9 @@ void DuplexSystem::scrub() {
   const std::uint64_t gen2 = module2_.generation();
   if (last_scrub_ != ScrubVerdict::kNone && gen1 == last_scrub_gen1_ &&
       gen2 == last_scrub_gen2_ && supports_batched_read()) {
-    // Replay: both modules hold what the last arbitrated pass read, and an
-    // inert policy makes arbitration a pure function of that state. That
-    // pass's generations were taken before its rewrite, so a pass whose
-    // rewrite changed a symbol is never replayed.
+    // Replay: both modules hold what the last arbitrated pass read (or what
+    // its rewrite left, when that reads back as its output; see below), and
+    // an inert policy makes arbitration a pure function of that state.
     ++stats_.scrubs_replayed;
     const bool ok = last_scrub_ != ScrubVerdict::kNoOutput;
     note_decode_result(ok);
@@ -133,6 +132,19 @@ void DuplexSystem::scrub() {
   } else {
     ++stats_.scrub_miscorrections;
     last_scrub_ = ScrubVerdict::kMiscorrected;
+  }
+  // A clean rewrite makes the next pass a replay of this one. If both
+  // modules read back the output at every symbol they do not flag, the
+  // next arbitration sees two words equal to the output outside the common
+  // erasures. Those number at most n - k, since this pass decoded under the
+  // same flags, so erasure-only decoding restores the output in both words,
+  // the select rule outputs it and the rewrite changes nothing: the same
+  // verdict, counters and failure streak.
+  if (supports_batched_read() &&
+      module1_.reads_back_outside_erasures(result.output) &&
+      module2_.reads_back_outside_erasures(result.output)) {
+    last_scrub_gen1_ = module1_.generation();
+    last_scrub_gen2_ = module2_.generation();
   }
 }
 

@@ -5,11 +5,18 @@
 // flag-based selection on every read and scrub. This is the executable
 // counterpart of the 6-tuple Markov chain in src/models/duplex_model.h.
 //
+// Scrub passes run as the event queue's tick (sim::EventQueue::set_tick),
+// not as heap events; fault arrivals stay on the heap.
+//
 // Scrub replay: a scrub pass that finds both modules at the generations
 // (MemoryModule::generation) the last arbitrated pass read, under an inert
 // degradation policy (the supports_batched_read gate), repeats that pass's
 // verdict and counters without reading, decoding or rewriting; it counts
-// in SystemStats::scrubs_replayed. Outputs are identical either way.
+// in SystemStats::scrubs_replayed. A pass whose rewrite leaves both
+// modules reading back its output at every unflagged symbol records the
+// generations after the rewrite instead, so the pass after a clean rewrite
+// replays too: erasure-only decoding within n - k would restore that
+// output in both words. Outputs are identical either way.
 #ifndef RSMEM_MEMORY_DUPLEX_SYSTEM_H
 #define RSMEM_MEMORY_DUPLEX_SYSTEM_H
 
@@ -132,7 +139,9 @@ class DuplexSystem {
   // modules and start the fault/scrub processes.
   void commit_store();
   void scrub();
-  void schedule_next_scrub();
+  // Arms the queue's tick with the scrub schedule: a pass at every scrub
+  // time from now on (scrubs are never heap events).
+  void start_scrubbing();
   // Full arbitration over the current module contents, on the scratch
   // planes, into arbitration_ (returned). With an active demotion, decodes
   // the survivor alone instead and synthesizes an equivalent ArbiterResult.
@@ -174,7 +183,8 @@ class DuplexSystem {
   mutable std::vector<unsigned> erasures2_scratch_;
   mutable ArbiterResult arbitration_;
   // Scrub replay (see scrub()): the verdict of the last arbitrated scrub
-  // pass and the module generations that pass read.
+  // pass and the module generations that pass read, or left after a clean
+  // rewrite.
   enum class ScrubVerdict : std::uint8_t {
     kNone,  // no pass arbitrated yet
     kNoOutput,

@@ -72,6 +72,23 @@ Element MemoryModule::read_symbol(unsigned symbol) const {
          (stuck_level_[symbol] & stuck_mask_[symbol]);
 }
 
+bool MemoryModule::reads_back_outside_erasures(
+    std::span<const Element> word) const {
+  if (word.size() != n_) {
+    throw std::invalid_argument(
+        "MemoryModule::reads_back_outside_erasures: size mismatch");
+  }
+  // Branch-free: the answer is nearly always true, so every symbol is read.
+  Element mismatch = 0;
+  for (unsigned i = 0; i < n_; ++i) {
+    const Element read =
+        (value_[i] & ~stuck_mask_[i]) | (stuck_level_[i] & stuck_mask_[i]);
+    const Element compared = detected_mask_[i] != 0 ? 0 : ~Element{0};
+    mismatch |= (read ^ word[i]) & compared;
+  }
+  return mismatch == 0;
+}
+
 void MemoryModule::flip_bit(unsigned symbol, unsigned bit) {
   check_position(symbol, bit);
   value_[symbol] ^= (Element{1} << bit);

@@ -49,6 +49,10 @@ class MemoryModule {
   void read_into_plane(std::span<Element> word,
                        std::span<std::uint8_t> erasure_flags) const;
   Element read_symbol(unsigned symbol) const;
+  // True when the module reads back `word` (size n) at every symbol
+  // without a detected permanent fault; erased symbols are not compared.
+  // Allocation-free.
+  bool reads_back_outside_erasures(std::span<const Element> word) const;
 
   // Transient fault: inverts the stored value of one bit. A flip on a stuck
   // bit has no observable effect (the cell output is forced).

@@ -66,16 +66,16 @@ void SimplexSystem::commit_store() {
   module_.write(stored_codeword_);
   stored_ = true;
   injector_->start();
-  schedule_next_scrub();
+  start_scrubbing();
 }
 
-void SimplexSystem::schedule_next_scrub() {
+void SimplexSystem::start_scrubbing() {
   if (!scrubber_) return;
-  const double when = scrubber_->next_after(queue_.now());
-  if (!std::isfinite(when)) return;
-  queue_.schedule_at(when, [this] {
+  const double first = scrubber_->next_after(queue_.now());
+  if (!std::isfinite(first)) return;
+  queue_.set_tick(first, [this] {
     scrub();
-    schedule_next_scrub();
+    return scrubber_->next_after(queue_.now());
   });
 }
 

@@ -48,8 +48,8 @@ struct SystemStats {
   unsigned scrub_miscorrections = 0;  // scrub silently rewrote wrong data
   unsigned scrubs_skipped = 0;        // suspended (stall window) or retired
   // Attempted scrubs that found the modules unchanged since the last
-  // arbitrated pass and replayed its verdict without decoding (duplex only;
-  // see DuplexSystem).
+  // arbitrated pass (or since its clean rewrite) and replayed its verdict
+  // without decoding (duplex only; see DuplexSystem).
   unsigned scrubs_replayed = 0;
 };
 
@@ -142,7 +142,9 @@ class SimplexSystem {
   // module and start the fault/scrub processes.
   void commit_store();
   void scrub();
-  void schedule_next_scrub();
+  // Arms the queue's tick with the scrub schedule: a pass at every scrub
+  // time from now on (scrubs are never heap events).
+  void start_scrubbing();
   // One decode plus the degradation escalation chain (retry-with-detection,
   // bank-wide erasure fallback) and the consecutive-failure/retire
   // bookkeeping. With the default policy this is exactly one decode.

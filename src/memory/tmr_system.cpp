@@ -33,7 +33,7 @@ void TmrSystem::store(std::span<const Element> data) {
   for (auto& module : modules_) module->write(stored_data_);
   stored_ = true;
   for (auto& injector : injectors_) injector->start();
-  schedule_next_scrub();
+  start_scrubbing();
 }
 
 std::vector<Element> TmrSystem::vote() const {
@@ -48,13 +48,13 @@ std::vector<Element> TmrSystem::vote() const {
   return out;
 }
 
-void TmrSystem::schedule_next_scrub() {
+void TmrSystem::start_scrubbing() {
   if (!scrubber_) return;
-  const double when = scrubber_->next_after(queue_.now());
-  if (!std::isfinite(when)) return;
-  queue_.schedule_at(when, [this] {
+  const double first = scrubber_->next_after(queue_.now());
+  if (!std::isfinite(first)) return;
+  queue_.set_tick(first, [this] {
     scrub();
-    schedule_next_scrub();
+    return scrubber_->next_after(queue_.now());
   });
 }
 

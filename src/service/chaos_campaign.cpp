@@ -592,34 +592,39 @@ ChaosScenarioResult run_corrupt_snapshot_scenario(
     file << "RSMSgarbage-not-a-valid-snapshot-body-truncated";
   }
 
-  ServerConfig server_config = base_server_config(index);
-  server_config.snapshot_path = snapshot;
-  core::Result<std::unique_ptr<Server>> started = Server::start(server_config);
-  if (!started.ok()) {
-    ::unlink(snapshot.c_str());
-    result.detail = "server failed to start: " + started.status().message();
-    return result;
-  }
-  const std::unique_ptr<Server> server = std::move(started).value();
-
   std::uint64_t warm_entries = 0;
   bool error_surfaced = false;
-  const core::Result<Json> stats =
-      fetch_stats(server->endpoint(), config.receive_timeout_ms);
-  if (stats.ok()) {
-    warm_entries = static_cast<std::uint64_t>(
-        stats.value().number_or("warm_start_entries", 0.0));
-    error_surfaced =
-        !stats.value().string_or("warm_start_error", "").empty();
+  {
+    ServerConfig server_config = base_server_config(index);
+    server_config.snapshot_path = snapshot;
+    core::Result<std::unique_ptr<Server>> started =
+        Server::start(server_config);
+    if (!started.ok()) {
+      ::unlink(snapshot.c_str());
+      result.detail = "server failed to start: " + started.status().message();
+      return result;
+    }
+    const std::unique_ptr<Server> server = std::move(started).value();
+    const core::Result<Json> stats =
+        fetch_stats(server->endpoint(), config.receive_timeout_ms);
+    if (stats.ok()) {
+      warm_entries = static_cast<std::uint64_t>(
+          stats.value().number_or("warm_start_entries", 0.0));
+      error_surfaced =
+          !stats.value().string_or("warm_start_error", "").empty();
+    }
+    ResilientClient client(server->endpoint(),
+                           churn_retry_policy(config.seed + index));
+    client.set_receive_timeout(config.receive_timeout_ms);
+    for (std::size_t variant = 0; variant < config.distinct; ++variant) {
+      account(result, client.call(ber_request(variant)), &expected[variant],
+              false);
+    }
+    result.daemon_alive =
+        ping_alive(server->endpoint(), config.receive_timeout_ms);
   }
-  ResilientClient client(server->endpoint(),
-                         churn_retry_policy(config.seed + index));
-  client.set_receive_timeout(config.receive_timeout_ms);
-  for (std::size_t variant = 0; variant < config.distinct; ++variant) {
-    account(result, client.call(ber_request(variant)), &expected[variant],
-            false);
-  }
-  result.daemon_alive = ping_alive(server->endpoint(), config.receive_timeout_ms);
+  // The server saves its cache to the snapshot when it is destroyed, so
+  // the file is removed only once the server is gone.
   ::unlink(snapshot.c_str());
   const bool cold_start = warm_entries == 0;
   result.detail = std::string("cold-start=") + (cold_start ? "yes" : "no") +

@@ -1,6 +1,7 @@
 // Integration tests for the functional simplex/duplex memory systems.
 #include <gtest/gtest.h>
 
+#include <climits>
 #include <cstdint>
 #include <stdexcept>
 #include <vector>
@@ -9,6 +10,8 @@
 #include "memory/duplex_system.h"
 #include "memory/memory_module.h"
 #include "memory/simplex_system.h"
+#include "rs/reed_solomon.h"
+#include "sim/rng.h"
 
 namespace rsmem::memory {
 namespace {
@@ -253,16 +256,16 @@ TEST(DuplexScrubReplay, CleanWordReplaysEveryPassButTheFirst) {
   EXPECT_TRUE(sys.read().read.data_correct);
 }
 
-TEST(DuplexScrubReplay, RewriteThatChangesASymbolIsNeverReplayed) {
-  // Pass 1 reads the flip and rewrites the symbol (the module changes);
-  // pass 2 therefore arbitrates again, reads a clean pair and rewrites
-  // nothing new; every later pass replays pass 2.
+TEST(DuplexScrubReplay, PassAfterACleanRewriteIsReplayed) {
+  // Pass 1 reads the flip and rewrites the symbol (the module changes).
+  // Both modules then read back pass 1's output, so pass 1 records the
+  // generations after its rewrite and every later pass replays it.
   DuplexSystem sys{scripted_scrub_config()};
   sys.store(test_data());
   sys.inject_bit_flip(0, 4, 2);
   sys.advance_to(10.5);
   EXPECT_EQ(sys.stats().scrubs_attempted, 10u);
-  EXPECT_EQ(sys.stats().scrubs_replayed, 8u);
+  EXPECT_EQ(sys.stats().scrubs_replayed, 9u);
   EXPECT_EQ(sys.stats().scrub_failures, 0u);
   EXPECT_EQ(sys.damage(0).corrupted, 0u);
 }
@@ -294,6 +297,128 @@ TEST(DuplexScrubReplay, ActiveDegradationPolicyNeverReplays) {
   sys.advance_to(10.5);
   EXPECT_EQ(sys.stats().scrubs_attempted, 10u);
   EXPECT_EQ(sys.stats().scrubs_replayed, 0u);
+}
+
+TEST(DuplexScrubReplay, UndetectedStuckBitThatDisagreesIsArbitratedAgain) {
+  // Pass 1 corrects a flip in one module (the rewrite changes a symbol)
+  // and an undetected stuck bit in the other. A stuck level that disagrees
+  // with the rewritten symbol keeps that module from reading back the
+  // output, so pass 2 arbitrates again (and rewrites nothing) and passes
+  // 3-10 replay it. A stuck level that agrees, or a detected (flagged)
+  // stuck bit, lets pass 2 replay pass 1.
+  std::vector<Element> codeword(18);
+  rs::ReedSolomon{rs::CodeParams{18, 16, 8, 1}}.encode(test_data(), codeword);
+  const bool bit_level = ((codeword[7] >> 3) & 1) != 0;
+  struct Case {
+    bool level;
+    bool detected;
+    unsigned replayed;
+  };
+  for (const unsigned stuck_module : {0u, 1u}) {
+    for (const Case c : {Case{!bit_level, false, 8u},
+                         Case{bit_level, false, 9u},
+                         Case{!bit_level, true, 9u}}) {
+      DuplexSystem sys{scripted_scrub_config()};
+      sys.store(test_data());
+      sys.inject_bit_flip(1 - stuck_module, 2, 1);
+      sys.inject_stuck_bit(stuck_module, 7, 3, c.level, c.detected);
+      sys.advance_to(10.5);
+      EXPECT_EQ(sys.stats().scrubs_attempted, 10u);
+      EXPECT_EQ(sys.stats().scrubs_replayed, c.replayed)
+          << "module " << stuck_module << " level " << c.level
+          << " detected " << c.detected;
+      EXPECT_EQ(sys.stats().scrub_failures, 0u);
+      EXPECT_EQ(sys.stats().scrub_miscorrections, 0u);
+      EXPECT_EQ(sys.damage(1 - stuck_module).corrupted, 0u);
+      EXPECT_TRUE(sys.read().read.data_correct);
+    }
+  }
+}
+
+// Differential oracle for scrub replay: each trial runs twice, as
+// configured and with retire_after_failures = UINT_MAX. That rung can
+// never fire within a trial, but an enabled rung fails the replay gate, so
+// the oracle arbitrates every pass. Everything but the replay count must
+// agree.
+TEST(DuplexScrubReplay, MatchesAReplayFreeOracleOnRandomTrials) {
+  DuplexSystemConfig base;
+  // perfbench mc_duplex_scrub's rates: SEU 0.02 /bit/day, erasures 0.05
+  // /symbol/day, Tsc 1800 s, 48 h.
+  base.rates.seu_rate_per_bit_hour = core::per_day_to_per_hour(0.02);
+  base.rates.perm_rate_per_symbol_hour = core::per_day_to_per_hour(0.05);
+  base.scrub_policy = ScrubPolicy::kExponential;
+  base.scrub_period_hours = core::seconds_to_hours(1800.0);
+  struct Regime {
+    const char* name;
+    DuplexSystemConfig config;
+    std::uint64_t trials = 2000;
+  };
+  std::vector<Regime> regimes(5, Regime{"", base});
+  regimes[0].name = "exponential";
+  regimes[1].name = "periodic";
+  regimes[1].config.scrub_policy = ScrubPolicy::kPeriodic;
+  regimes[2].name = "2 h detection latency";
+  regimes[2].config.rates.detection_latency_hours = 2.0;
+  regimes[3].name = "3-bit MBUs";
+  regimes[3].config.rates.mbu_probability = 0.5;
+  regimes[3].config.rates.mbu_span_bits = 3;
+  // Undetected stuck bits that outlive many passes: the case where a
+  // rewrite does not read back, which the rates above rarely reach.
+  regimes[4].name = "10x erasure rate, 6 h detection latency";
+  regimes[4].config.rates.perm_rate_per_symbol_hour *= 10.0;
+  regimes[4].config.rates.detection_latency_hours = 6.0;
+  regimes[4].trials = 500;
+
+  const auto same_damage = [](const DamageSummary& a, const DamageSummary& b) {
+    return a.erased == b.erased && a.corrupted == b.corrupted;
+  };
+  for (const Regime& regime : regimes) {
+    std::uint64_t replayed = 0;
+    std::uint64_t oracle_replayed = 0;
+    std::uint64_t attempted = 0;
+    for (std::uint64_t trial = 1; trial <= regime.trials; ++trial) {
+      DuplexSystemConfig cfg = regime.config;
+      cfg.seed = trial;
+      DuplexSystemConfig oracle_cfg = cfg;
+      oracle_cfg.degradation.retire_after_failures = UINT_MAX;
+      sim::Rng data_rng{trial};
+      std::vector<Element> data(16);
+      for (Element& symbol : data) {
+        symbol = static_cast<Element>(data_rng.uniform_int(256));
+      }
+      DuplexSystem sys{cfg};
+      DuplexSystem oracle{oracle_cfg};
+      sys.store(data);
+      oracle.store(data);
+      sys.advance_to(48.0);
+      oracle.advance_to(48.0);
+
+      const SystemStats& a = sys.stats();
+      const SystemStats& b = oracle.stats();
+      const DuplexReadResult ra = sys.read();
+      const DuplexReadResult rb = oracle.read();
+      const bool same =
+          a.seu_injected == b.seu_injected &&
+          a.permanent_injected == b.permanent_injected &&
+          a.scrubs_attempted == b.scrubs_attempted &&
+          a.scrub_failures == b.scrub_failures &&
+          a.scrub_miscorrections == b.scrub_miscorrections &&
+          a.scrubs_skipped == b.scrubs_skipped &&
+          sys.degradation().unrecovered_failures ==
+              oracle.degradation().unrecovered_failures &&
+          ra.read.success == rb.read.success && ra.read.data == rb.read.data &&
+          ra.arbitration.output == rb.arbitration.output &&
+          same_damage(sys.damage(0), oracle.damage(0)) &&
+          same_damage(sys.damage(1), oracle.damage(1));
+      ASSERT_TRUE(same) << regime.name << ", trial " << trial;
+      replayed += a.scrubs_replayed;
+      oracle_replayed += b.scrubs_replayed;
+      attempted += a.scrubs_attempted;
+    }
+    EXPECT_EQ(oracle_replayed, 0u) << regime.name;
+    // Replay is in play: more than half the passes replay.
+    EXPECT_GT(replayed * 2, attempted) << regime.name;
+  }
 }
 
 }  // namespace

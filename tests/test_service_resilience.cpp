@@ -21,6 +21,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <future>
 #include <latch>
@@ -693,6 +694,34 @@ TEST(ChaosCampaign, SmokePassesAndReportIsDeterministic) {
   ASSERT_TRUE(second.ok());
   EXPECT_EQ(format_chaos_report(config, first.value()),
             format_chaos_report(config, second.value()));
+}
+
+// Files the campaign itself names /tmp/rsmem-chaos-<pid>-*.bin (snapshots).
+std::vector<std::string> campaign_snapshot_files() {
+  const std::string prefix = "rsmem-chaos-" + std::to_string(::getpid()) + "-";
+  std::vector<std::string> found;
+  for (const auto& entry : std::filesystem::directory_iterator("/tmp")) {
+    const std::string name = entry.path().filename().string();
+    if (name.rfind(prefix, 0) == 0 && name.size() >= 4 &&
+        name.compare(name.size() - 4, 4, ".bin") == 0) {
+      found.push_back(entry.path().string());
+    }
+  }
+  return found;
+}
+
+TEST(ChaosCampaign, LeavesNoSnapshotFileBehind) {
+  // A server saves its cache to its snapshot path when it is destroyed, so
+  // each scenario may remove its snapshot only after its server is gone.
+  ChaosCampaignConfig config;
+  config.seed = 12;
+  config.requests_per_scenario = 4;
+  config.distinct = 2;
+  const auto report = run_chaos_campaign(config);
+  ASSERT_TRUE(report.ok()) << report.status().to_string();
+  const std::vector<std::string> left = campaign_snapshot_files();
+  EXPECT_EQ(left, std::vector<std::string>{});
+  for (const std::string& path : left) std::remove(path.c_str());
 }
 
 TEST(ChaosCampaign, RejectsNonsensicalConfig) {

@@ -2,12 +2,15 @@
 // sanity, the event queue, and the Poisson process helper.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <functional>
 #include <limits>
 #include <optional>
 #include <random>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "sim/event_queue.h"
@@ -411,6 +414,199 @@ TEST(EventQueue, StepSingleEvent) {
   EXPECT_DOUBLE_EQ(q.now(), 1.0);
   EXPECT_TRUE(q.step());
   EXPECT_FALSE(q.step());
+}
+
+// A randomized event program with integer times, so ties are common. Heap
+// events and tick occurrences log themselves and may schedule heap events,
+// some at now(); each one's script is drawn from its own id, so both ways
+// of running the tick below face the same program.
+class TickProgram {
+ public:
+  enum class Mode { kTick, kSelfSchedulingClosure };
+
+  explicit TickProgram(std::uint64_t seed) : seed_(seed) {
+    Rng rng{seed};
+    ticks_ = 1 + static_cast<unsigned>(rng.uniform_int(40));
+    first_tick_ = static_cast<double>(rng.uniform_int(4));
+    stop_with_nan_ = rng.bernoulli(0.5);
+  }
+
+  std::vector<std::string> run(Mode mode) {
+    EventQueue q;
+    std::vector<std::string> log;
+    unsigned next_id = 0;
+    unsigned occurrence = 0;
+    const auto note = [&](const char* what, unsigned id) {
+      log.push_back(std::string(what) + std::to_string(id) + "@" +
+                    std::to_string(q.now()) + " pending " +
+                    std::to_string(q.pending()));
+    };
+    // Schedules `count` heap events at now() + delay, delays in [0, 3].
+    std::function<void(Rng&, unsigned)> spawn = [&](Rng& script,
+                                                    unsigned count) {
+      for (unsigned c = 0; c < count; ++c) {
+        const double when =
+            q.now() + static_cast<double>(script.uniform_int(4));
+        const unsigned id = next_id++;
+        q.schedule_at(when, [&, id] {
+          note("event ", id);
+          Rng child = Rng{seed_}.split(1 + id);
+          // Half the events spawn 0-2 children, and none past id 400.
+          const unsigned children = static_cast<unsigned>(child.uniform_int(3));
+          const bool spawns = child.bernoulli(0.5) && id < 400;
+          spawn(child, spawns ? children : 0u);
+        });
+      }
+    };
+    const std::function<double()> tick = [&] {
+      note("tick ", occurrence);
+      Rng script = Rng{seed_}.split(1'000'000 + occurrence);
+      spawn(script, static_cast<unsigned>(script.uniform_int(3)));
+      if (++occurrence == ticks_) {
+        return stop_with_nan_ ? std::numeric_limits<double>::quiet_NaN()
+                              : std::numeric_limits<double>::infinity();
+      }
+      return q.now() + static_cast<double>(script.uniform_int(3));
+    };
+    std::function<void()> tick_event = [&] {
+      const double next = tick();
+      if (std::isfinite(next)) q.schedule_at(next, tick_event);
+    };
+
+    Rng setup = Rng{seed_}.split(0);
+    spawn(setup, static_cast<unsigned>(setup.uniform_int(6)));
+    if (mode == Mode::kTick) {
+      q.set_tick(first_tick_, tick);
+    } else {
+      q.schedule_at(first_tick_, tick_event);
+    }
+    spawn(setup, static_cast<unsigned>(setup.uniform_int(6)));
+    // Drive with a mix of single steps and run_until boundaries, including
+    // boundaries that fall on event times.
+    double until = 0.0;
+    for (int round = 0; round < 200 && !q.empty(); ++round) {
+      if (setup.bernoulli(0.3)) {
+        log.push_back(q.step() ? "step" : "idle");
+      } else {
+        until = std::max(until, q.now()) +
+                static_cast<double>(setup.uniform_int(3));
+        q.run_until(until);
+        note("boundary ", static_cast<unsigned>(until));
+      }
+    }
+    log.push_back(q.empty() ? "drained" : "left over");
+    return log;
+  }
+
+ private:
+  std::uint64_t seed_;
+  unsigned ticks_;
+  double first_tick_;
+  bool stop_with_nan_;
+};
+
+TEST(EventQueueTick, RunsExactlyLikeASelfSchedulingClosure) {
+  std::size_t entries = 0;
+  for (std::uint64_t seed = 1; seed <= 500; ++seed) {
+    TickProgram program{seed};
+    const std::vector<std::string> tick =
+        program.run(TickProgram::Mode::kTick);
+    const std::vector<std::string> closure =
+        program.run(TickProgram::Mode::kSelfSchedulingClosure);
+    ASSERT_EQ(tick, closure) << "seed " << seed;
+    entries += tick.size();
+  }
+  EXPECT_GT(entries, 10'000u);  // the programs are not trivially short
+}
+
+TEST(EventQueueTick, NonFiniteReturnStopsTheTick) {
+  for (const double stop : {std::numeric_limits<double>::infinity(),
+                            -std::numeric_limits<double>::infinity(),
+                            std::numeric_limits<double>::quiet_NaN()}) {
+    EventQueue q;
+    int runs = 0;
+    q.set_tick(1.0, [&] { return ++runs < 3 ? q.now() + 1.0 : stop; });
+    q.run_until(100.0);
+    EXPECT_EQ(runs, 3);
+    EXPECT_TRUE(q.empty());
+    EXPECT_EQ(q.pending(), 0u);
+    EXPECT_FALSE(q.step());
+  }
+}
+
+TEST(EventQueueTick, RunUntilStopsAtItsBoundaryWithTheTickPending) {
+  EventQueue q;
+  std::vector<double> at;
+  q.set_tick(1.0, [&] {
+    at.push_back(q.now());
+    return q.now() + 1.5;
+  });
+  q.run_until(4.0);  // a tick at exactly 4.0 would run; the next is at 5.5
+  EXPECT_EQ(at, (std::vector<double>{1.0, 2.5, 4.0}));
+  EXPECT_DOUBLE_EQ(q.now(), 4.0);
+  EXPECT_EQ(q.pending(), 1u);
+  q.run_until(5.0);
+  EXPECT_EQ(at.size(), 3u);
+  EXPECT_DOUBLE_EQ(q.now(), 5.0);
+  q.run_until(5.5);
+  EXPECT_EQ(at.size(), 4u);
+}
+
+TEST(EventQueueTick, StepRunsTheTick) {
+  EventQueue q;
+  std::vector<int> order;
+  q.schedule_at(2.0, [&] { order.push_back(2); });
+  q.set_tick(1.0, [&] {
+    order.push_back(1);
+    return q.now() + 5.0;
+  });
+  EXPECT_TRUE(q.step());
+  EXPECT_EQ(order, (std::vector<int>{1}));
+  EXPECT_DOUBLE_EQ(q.now(), 1.0);
+  EXPECT_TRUE(q.step());
+  EXPECT_EQ(order, (std::vector<int>{1, 2}));
+  EXPECT_TRUE(q.step());  // the tick again, at 6.0
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 1}));
+  EXPECT_DOUBLE_EQ(q.now(), 6.0);
+}
+
+TEST(EventQueueTick, EmptyAndPendingCountAnArmedTick) {
+  EventQueue q;
+  EXPECT_TRUE(q.empty());
+  q.set_tick(3.0, [] { return std::numeric_limits<double>::infinity(); });
+  EXPECT_FALSE(q.empty());
+  EXPECT_EQ(q.pending(), 1u);
+  q.schedule_at(1.0, [] {});
+  EXPECT_EQ(q.pending(), 2u);
+  q.run_until(2.0);
+  EXPECT_FALSE(q.empty());
+  EXPECT_EQ(q.pending(), 1u);
+  q.run_until(3.0);  // the tick ran and stopped
+  EXPECT_TRUE(q.empty());
+  EXPECT_EQ(q.pending(), 0u);
+}
+
+TEST(EventQueueTick, RejectsPastOrNonFiniteFirstTimes) {
+  EventQueue q;
+  q.run_until(5.0);
+  const auto tick = [] { return std::numeric_limits<double>::infinity(); };
+  EXPECT_THROW(q.set_tick(4.0, tick), std::invalid_argument);
+  EXPECT_THROW(q.set_tick(std::numeric_limits<double>::infinity(), tick),
+               std::invalid_argument);
+  EXPECT_THROW(q.set_tick(std::numeric_limits<double>::quiet_NaN(), tick),
+               std::invalid_argument);
+  EXPECT_THROW(q.set_tick(6.0, TickAction{}), std::invalid_argument);
+  EXPECT_TRUE(q.empty());
+  q.set_tick(5.0, tick);  // the rejected calls left no tick behind
+  EXPECT_EQ(q.pending(), 1u);
+  EXPECT_THROW(q.set_tick(7.0, tick), std::logic_error);  // one per queue
+}
+
+TEST(EventQueueTick, ReturningAPastTimeThrowsAndStopsTheTick) {
+  EventQueue q;
+  q.set_tick(2.0, [&] { return q.now() - 1.0; });
+  EXPECT_THROW(q.run_until(3.0), std::invalid_argument);
+  EXPECT_TRUE(q.empty());
 }
 
 TEST(PoissonProcess, ZeroRateNeverFires) {

@@ -373,6 +373,67 @@ TEST(CodecDifferential, Rs3616RandomNoiseEveryBackend) {
   }
 }
 
+// ---- exhaustive erasure subsets: the guarantee duplex scrub replay uses --
+
+// Walks every erasure set of `code` as a bitmask, as a binary counter (the
+// druid rs.c model). A set of at most n - k erasures, with random values
+// written into the erased positions, must decode to the codeword with no
+// error corrected; one more erasure must be a detected failure.
+void check_every_erasure_subset(const ReedSolomon& code, std::mt19937& rng,
+                                DecoderWorkspace& ws) {
+  const unsigned n = code.n();
+  const unsigned parity = code.parity_symbols();
+  std::uniform_int_distribution<unsigned> sym(0, code.field().size() - 1);
+  std::vector<Element> data(code.k());
+  for (auto& d : data) d = sym(rng);
+  const std::vector<Element> codeword = code.encode(data);
+  std::vector<Element> word(n);
+  std::vector<unsigned> erasures;
+  erasures.reserve(n);
+  const std::string tag = "RS(" + std::to_string(n) + "," +
+                          std::to_string(code.k()) + ") over GF(2^" +
+                          std::to_string(code.m()) + ")";
+  for (std::uint32_t mask = 0; mask < (std::uint32_t{1} << n); ++mask) {
+    const unsigned size = static_cast<unsigned>(__builtin_popcount(mask));
+    if (size > parity + 1) continue;
+    word = codeword;
+    erasures.clear();
+    for (unsigned p = 0; p < n; ++p) {
+      if ((mask >> p) & 1) {
+        erasures.push_back(p);
+        word[p] = static_cast<Element>(sym(rng));
+      }
+    }
+    const DecodeOutcome outcome = code.decode(ws, word, erasures);
+    if (size <= parity) {
+      ASSERT_TRUE(outcome.ok()) << tag << ", mask " << mask;
+      ASSERT_EQ(outcome.errors_corrected, 0u) << tag << ", mask " << mask;
+      ASSERT_EQ(word, codeword) << tag << ", mask " << mask;
+    } else {
+      ASSERT_EQ(outcome.status, rsmem::rs::DecodeStatus::kFailure)
+          << tag << ", mask " << mask;
+    }
+  }
+}
+
+TEST(ExhaustiveErasures, EverySubsetWithinNMinusKRestoresTheCodeword) {
+  // Every RS(n,k) over GF(2^m), m in {2,3,4}, plus the duplex RS(18,16).
+  std::mt19937 rng(0xE5A5E);
+  DecoderWorkspace ws;
+  std::size_t codes = 0;
+  for (const unsigned m : {2u, 3u, 4u}) {
+    for (unsigned n = 2; n <= (1u << m) - 1; ++n) {
+      for (unsigned k = 1; k < n; ++k) {
+        check_every_erasure_subset(ReedSolomon(n, k, m), rng, ws);
+        if (HasFatalFailure()) return;
+        ++codes;
+      }
+    }
+  }
+  check_every_erasure_subset(ReedSolomon(18, 16, 8), rng, ws);
+  EXPECT_EQ(codes, 3u + 21u + 105u);
+}
+
 // ---- batch planes: counts off every vector width, misaligned planes -----
 
 const std::size_t kPlaneCounts[] = {1, 2, 3, 5, 17, 33};

@@ -175,27 +175,27 @@ INSTANTIATE_TEST_SUITE_P(
                       rs::CodeParams{100, 88, 10, 1, 0}));
 
 TEST(ZeroAllocScrub, SteadyStateDuplexScrubbingDoesNotAllocate) {
-  // Periodic passes every hour, no Poisson faults: the only events are the
-  // scrub passes themselves and the scripted flips.
+  // Periodic passes every hour, no Poisson faults: the only event is the
+  // scrub tick, and the only faults are the scripted flips.
   memory::DuplexSystemConfig cfg;
   cfg.scrub_policy = memory::ScrubPolicy::kPeriodic;
   cfg.scrub_period_hours = 1.0;
   memory::DuplexSystem sys{cfg};
   sim::Rng rng{18};
   sys.store(random_data(sys.code(), rng));
-  // Warm-up: one corrected flip grows the codec's per-thread workspace and
-  // the event queue's storage.
+  // Warm-up: one corrected flip grows the codec's per-thread workspace.
   sys.inject_bit_flip(0, 5, 3);
   sys.advance_to(4.5);
 
-  // Counted window: a flip arbitrated for real (pass at t=5 corrects and
-  // rewrites it, t=6 re-reads the clean pair) and then replayed passes.
+  // Counted window: a flip arbitrated for real (the pass at t=5 corrects
+  // and rewrites it, and both modules read back its output) and then
+  // replayed passes from t=6 on.
   sys.inject_bit_flip(1, 11, 6);
   const std::uint64_t replayed_before = sys.stats().scrubs_replayed;
   const std::uint64_t allocs = allocations_in([&] { sys.advance_to(40.5); });
   EXPECT_EQ(allocs, 0u) << "steady-state scrub passes must not hit the heap";
   EXPECT_EQ(sys.stats().scrubs_attempted, 40u);
-  EXPECT_EQ(sys.stats().scrubs_replayed - replayed_before, 34u);
+  EXPECT_EQ(sys.stats().scrubs_replayed - replayed_before, 35u);
   EXPECT_EQ(sys.damage(1).corrupted, 0u);
   EXPECT_TRUE(sys.read().read.data_correct);
 }
