@@ -21,7 +21,7 @@ constexpr std::size_t kDefaultBatchTrials = 64;
 
 // The batched path requires an inert degradation policy (the rungs re-read
 // the module mid-decode, which cannot be lifted into a plane). Width 1 is
-// the per-trial read() control.
+// the per-trial read() path, the degradation path.
 std::size_t resolve_batch_width(const MonteCarloConfig& config,
                                 const memory::DegradationPolicy& degradation) {
   if (degradation.any_enabled()) return 1;
@@ -51,14 +51,15 @@ std::vector<gf::Element> random_data(sim::Rng& rng, unsigned k, unsigned m) {
   return data;
 }
 
-void count_outcome(MonteCarloAccumulator& acc, const MonteCarloConfig& config,
-                   bool success, bool data_correct,
+// A read that returns wrong data (an undetected mis-correction) is a
+// failure, as the Markov chains count any unrecoverable pattern as Fail.
+void count_outcome(MonteCarloAccumulator& acc, bool success, bool data_correct,
                    const memory::SystemStats& stats) {
   ++acc.trials;
   if (!success) {
     ++acc.failures;
     ++acc.no_output_failures;
-  } else if (config.wrong_data_is_failure && !data_correct) {
+  } else if (!data_correct) {
     ++acc.failures;
     ++acc.wrong_data_failures;
   }
@@ -77,6 +78,33 @@ void fill_word(WordObservation& word, const rs::DecodeOutcome& outcome,
   word.erasures_supplied = erasures_supplied;
   word.erased_symbols = damage.erased;
   word.corrupted_symbols = damage.corrupted;
+}
+
+// The two places a campaign sees its arrangement: the aggregate read inside
+// a system's read result, and the words an observer's TrialRecord holds
+// (one simplex decode; two duplex decodes, after erasure masking).
+const memory::ReadResult& read_of(const memory::ReadResult& read) {
+  return read;
+}
+const memory::ReadResult& read_of(const memory::DuplexReadResult& read) {
+  return read.read;
+}
+
+void fill_words(TrialRecord& record, const memory::SimplexSystem& sys,
+                const memory::ReadResult& read) {
+  record.word_count = 1;
+  const memory::DamageSummary damage = sys.damage();
+  fill_word(record.words[0], read.outcome, damage.erased, damage);
+}
+void fill_words(TrialRecord& record, const memory::DuplexSystem& sys,
+                const memory::DuplexReadResult& read) {
+  record.word_count = 2;
+  const unsigned common =
+      static_cast<unsigned>(read.arbitration.common_erasures.size());
+  fill_word(record.words[0], read.arbitration.outcome1, common,
+            sys.damage(0));
+  fill_word(record.words[1], read.arbitration.outcome2, common,
+            sys.damage(1));
 }
 
 // One trial's RNG streams are keyed by the GLOBAL trial index, never by the
@@ -189,17 +217,26 @@ MonteCarloResult MonteCarloAccumulator::finalize() const {
   return result;
 }
 
-MonteCarloResult run_simplex_trials(const memory::SimplexSystemConfig& system,
-                                    const MonteCarloConfig& config,
-                                    CampaignReport* report,
-                                    CampaignProgress* progress) {
-  check_config(config, "run_simplex_trials");
+namespace {
+
+// The campaign body both arrangements run. Every trial stores random data
+// at t=0, advances to the stopping time and reads once. System is
+// SimplexSystem or DuplexSystem; its batched read surface has one shape,
+// kPlaneWords decoded words per read, so nothing below branches on it.
+template <typename System, typename SystemConfig>
+MonteCarloResult run_trials(const SystemConfig& system,
+                            const MonteCarloConfig& config,
+                            CampaignReport* report, CampaignProgress* progress,
+                            const char* who) {
+  check_config(config, who);
   const sim::Rng root{config.seed};
   const std::shared_ptr<const rs::ReedSolomon> shared_code =
       campaign_code(system.shared_code, system.code);
   const std::size_t batch = resolve_batch_width(config, system.degradation);
   const unsigned n = system.code.n;
   const unsigned k = system.code.k;
+  constexpr unsigned kWords = System::kPlaneWords;
+  const std::size_t slot = kWords * n;  // plane symbols one trial reads
   const auto chunk = [&](std::size_t first, std::size_t last,
                          MonteCarloAccumulator& acc) {
     // One batch workspace per campaign thread (the thread-safety rule of
@@ -211,41 +248,33 @@ MonteCarloResult run_simplex_trials(const memory::SimplexSystemConfig& system,
         chunk_code(shared_code);
     // Constructs one trial's system (no data stored yet).
     const auto build_system = [&](std::size_t trial) {
-      memory::SimplexSystemConfig cfg = system;
+      SystemConfig cfg = system;
       cfg.seed = trial_system_seed(root, trial);
       cfg.shared_code = code;
-      return std::make_unique<memory::SimplexSystem>(cfg);
+      return std::make_unique<System>(cfg);
     };
-    // Runs one trial's life up to the stopping time; the final read is the
-    // caller's (per-trial or batched).
-    const auto make_system = [&](std::size_t trial) {
-      sim::Rng data_rng = trial_data_rng(root, trial);
-      auto sys = build_system(trial);
-      sys->store(random_data(data_rng, k, system.code.m));
-      sys->advance_to(config.t_end_hours);
-      return sys;
-    };
-    const auto finish_trial = [&](std::size_t trial,
-                                  const memory::SimplexSystem& sys,
-                                  const memory::ReadResult& read) {
-      count_outcome(acc, config, read.success, read.data_correct,
-                    sys.stats());
+    const auto finish_trial = [&](std::size_t trial, const System& sys,
+                                  const auto& result) {
+      const memory::ReadResult& read = read_of(result);
+      count_outcome(acc, read.success, read.data_correct, sys.stats());
       if (config.observer) {
         TrialRecord record;
         record.trial_index = trial;
         record.success = read.success;
         record.data_correct = read.data_correct;
-        record.word_count = 1;
-        const memory::DamageSummary damage = sys.damage();
-        fill_word(record.words[0], read.outcome, damage.erased, damage);
+        fill_words(record, sys, result);
         record.seu_injected = sys.stats().seu_injected;
         record.permanent_injected = sys.stats().permanent_injected;
         config.observer(record);
       }
     };
     if (batch <= 1) {
+      // The per-trial read() path: every degradation rung takes it.
       for (std::size_t trial = first; trial < last; ++trial) {
-        const std::unique_ptr<memory::SimplexSystem> sys = make_system(trial);
+        sim::Rng data_rng = trial_data_rng(root, trial);
+        const std::unique_ptr<System> sys = build_system(trial);
+        sys->store(random_data(data_rng, k, system.code.m));
+        sys->advance_to(config.t_end_hours);
         finish_trial(trial, *sys, sys->read());
       }
       return;
@@ -253,14 +282,14 @@ MonteCarloResult run_simplex_trials(const memory::SimplexSystemConfig& system,
     // Batched gather/encode/decode/scatter: generate the batch's datawords
     // into one plane and encode them with a single encode_batch call
     // (bit-identical per word to the per-trial encode), store each trial's
-    // slot, run every trial to its stopping time, gather the raw module
-    // reads into one word/flag plane, decode the plane with a single
-    // decode_batch call (clean unflagged words exit via the plane-wide
-    // syndrome screen), then scatter the per-word outcomes through each
-    // system's bookkeeping tail. Systems are built in ascending trial order
-    // (RNG keying is by global index) and outcomes are counted in the same
-    // order as the per-trial loop above.
-    std::vector<std::unique_ptr<memory::SimplexSystem>> systems;
+    // codeword, run every trial to its stopping time, gather each system's
+    // kWords words into its slot of one word/flag plane, decode the plane
+    // with a single decode_batch call (clean unflagged words exit via the
+    // plane-wide syndrome screen), then hand each system its decoded slot.
+    // Systems are built in ascending trial order (RNG keying is by global
+    // index) and outcomes are counted in the same order as the per-trial
+    // loop above.
+    std::vector<std::unique_ptr<System>> systems;
     gf::AlignedVector<gf::Element> data_plane;
     gf::AlignedVector<gf::Element> plane;
     gf::AlignedVector<std::uint8_t> flags;
@@ -271,36 +300,38 @@ MonteCarloResult run_simplex_trials(const memory::SimplexSystemConfig& system,
       systems.clear();
       systems.reserve(count);
       data_plane.resize(count * k);
-      plane.resize(count * n);
-      flags.resize(count * n);
-      outcomes.assign(count, rs::DecodeOutcome{});
+      plane.resize(count * slot);
+      flags.resize(count * slot);
+      outcomes.assign(count * kWords, rs::DecodeOutcome{});
       const std::span<gf::Element> data_span{data_plane};
       const std::span<gf::Element> plane_span{plane};
       const std::span<std::uint8_t> flag_span{flags};
+      const std::span<const rs::DecodeOutcome> outcome_span{outcomes};
       for (std::size_t i = 0; i < count; ++i) {
         sim::Rng data_rng = trial_data_rng(root, base + i);
         fill_random_data(data_rng, data_span.subspan(i * k, k),
                          system.code.m);
         systems.push_back(build_system(base + i));
       }
-      // The codeword plane reuses the read-gather plane: store_encoded
-      // copies each slot before any fault arrives, and the gather below
-      // overwrites the plane wholesale.
-      shared_code->encode_batch(ws, data_span, plane_span);
+      // The codewords borrow the first count*n symbols of the read plane:
+      // store_encoded copies each one before any fault arrives, and the
+      // gather below overwrites the plane wholesale.
+      shared_code->encode_batch(ws, data_span, plane_span.first(count * n));
       for (std::size_t i = 0; i < count; ++i) {
         systems[i]->store_encoded(data_span.subspan(i * k, k),
                                   plane_span.subspan(i * n, n));
         systems[i]->advance_to(config.t_end_hours);
       }
       for (std::size_t i = 0; i < count; ++i) {
-        systems[i]->read_into_plane(plane_span.subspan(i * n, n),
-                                    flag_span.subspan(i * n, n));
+        systems[i]->read_into_plane(plane_span.subspan(i * slot, slot),
+                                    flag_span.subspan(i * slot, slot));
       }
       shared_code->decode_batch(ws, plane_span, outcomes, flag_span);
       for (std::size_t i = 0; i < count; ++i) {
         finish_trial(base + i, *systems[i],
                      systems[i]->finish_batched_read(
-                         plane_span.subspan(i * n, n), outcomes[i]));
+                         plane_span.subspan(i * slot, slot),
+                         outcome_span.subspan(i * kWords, kWords)));
       }
     });
   };
@@ -311,127 +342,22 @@ MonteCarloResult run_simplex_trials(const memory::SimplexSystemConfig& system,
       .finalize();
 }
 
+}  // namespace
+
+MonteCarloResult run_simplex_trials(const memory::SimplexSystemConfig& system,
+                                    const MonteCarloConfig& config,
+                                    CampaignReport* report,
+                                    CampaignProgress* progress) {
+  return run_trials<memory::SimplexSystem>(system, config, report, progress,
+                                           "run_simplex_trials");
+}
+
 MonteCarloResult run_duplex_trials(const memory::DuplexSystemConfig& system,
                                    const MonteCarloConfig& config,
                                    CampaignReport* report,
                                    CampaignProgress* progress) {
-  check_config(config, "run_duplex_trials");
-  const sim::Rng root{config.seed};
-  const std::shared_ptr<const rs::ReedSolomon> shared_code =
-      campaign_code(system.shared_code, system.code);
-  const std::size_t batch = resolve_batch_width(config, system.degradation);
-  const unsigned n = system.code.n;
-  const unsigned k = system.code.k;
-  const auto chunk = [&](std::size_t first, std::size_t last,
-                         MonteCarloAccumulator& acc) {
-    thread_local rs::DecoderWorkspace ws;
-    const std::shared_ptr<const rs::ReedSolomon> code =
-        chunk_code(shared_code);
-    const auto build_system = [&](std::size_t trial) {
-      memory::DuplexSystemConfig cfg = system;
-      cfg.seed = trial_system_seed(root, trial);
-      cfg.shared_code = code;
-      return std::make_unique<memory::DuplexSystem>(cfg);
-    };
-    const auto make_system = [&](std::size_t trial) {
-      sim::Rng data_rng = trial_data_rng(root, trial);
-      auto sys = build_system(trial);
-      sys->store(random_data(data_rng, k, system.code.m));
-      sys->advance_to(config.t_end_hours);
-      return sys;
-    };
-    const auto finish_trial = [&](std::size_t trial,
-                                  const memory::DuplexSystem& sys,
-                                  const memory::DuplexReadResult& read) {
-      count_outcome(acc, config, read.read.success, read.read.data_correct,
-                    sys.stats());
-      if (config.observer) {
-        TrialRecord record;
-        record.trial_index = trial;
-        record.success = read.read.success;
-        record.data_correct = read.read.data_correct;
-        record.word_count = 2;
-        const unsigned common = static_cast<unsigned>(
-            read.arbitration.common_erasures.size());
-        fill_word(record.words[0], read.arbitration.outcome1, common,
-                  sys.damage(0));
-        fill_word(record.words[1], read.arbitration.outcome2, common,
-                  sys.damage(1));
-        record.seu_injected = sys.stats().seu_injected;
-        record.permanent_injected = sys.stats().permanent_injected;
-        config.observer(record);
-      }
-    };
-    if (batch <= 1) {
-      for (std::size_t trial = first; trial < last; ++trial) {
-        const std::unique_ptr<memory::DuplexSystem> sys = make_system(trial);
-        finish_trial(trial, *sys, sys->read());
-      }
-      return;
-    }
-    // Batched gather/decode/scatter, duplex flavour: each trial contributes
-    // its erasure-masked word PAIR to the plane (slots 2i and 2i+1, both
-    // flagged with the pair's common erasures — arbiter step 1 runs at
-    // gather time, step 2 is the shared decode_batch call, step 3 runs at
-    // scatter time inside finish_batched_read).
-    std::vector<std::unique_ptr<memory::DuplexSystem>> systems;
-    std::vector<memory::ArbiterResult> partials;
-    gf::AlignedVector<gf::Element> data_plane;
-    gf::AlignedVector<gf::Element> plane;
-    gf::AlignedVector<std::uint8_t> flags;
-    std::vector<rs::DecodeOutcome> outcomes;
-    for_each_batch(first, last, batch, [&](std::size_t base,
-                                           std::size_t stop) {
-      const std::size_t count = stop - base;
-      systems.clear();
-      systems.reserve(count);
-      partials.assign(count, memory::ArbiterResult{});
-      data_plane.resize(count * k);
-      plane.resize(2 * count * n);
-      flags.resize(2 * count * n);
-      outcomes.assign(2 * count, rs::DecodeOutcome{});
-      const std::span<gf::Element> data_span{data_plane};
-      const std::span<gf::Element> plane_span{plane};
-      const std::span<std::uint8_t> flag_span{flags};
-      for (std::size_t i = 0; i < count; ++i) {
-        sim::Rng data_rng = trial_data_rng(root, base + i);
-        fill_random_data(data_rng, data_span.subspan(i * k, k),
-                         system.code.m);
-        systems.push_back(build_system(base + i));
-      }
-      // Codewords borrow the first count*n slots of the read plane (each
-      // store_encoded copies its slot; the masked-pair gather below then
-      // overwrites the whole plane).
-      shared_code->encode_batch(ws, data_span,
-                                plane_span.subspan(0, count * n));
-      for (std::size_t i = 0; i < count; ++i) {
-        systems[i]->store_encoded(data_span.subspan(i * k, k),
-                                  plane_span.subspan(i * n, n));
-        systems[i]->advance_to(config.t_end_hours);
-      }
-      for (std::size_t i = 0; i < count; ++i) {
-        systems[i]->read_into_masked_pair(
-            plane_span.subspan((2 * i) * n, n),
-            plane_span.subspan((2 * i + 1) * n, n),
-            flag_span.subspan((2 * i) * n, n),
-            flag_span.subspan((2 * i + 1) * n, n), partials[i]);
-      }
-      shared_code->decode_batch(ws, plane_span, outcomes, flag_span);
-      for (std::size_t i = 0; i < count; ++i) {
-        finish_trial(base + i, *systems[i],
-                     systems[i]->finish_batched_read(
-                         plane_span.subspan((2 * i) * n, n),
-                         plane_span.subspan((2 * i + 1) * n, n),
-                         outcomes[2 * i], outcomes[2 * i + 1],
-                         std::move(partials[i])));
-      }
-    });
-  };
-  return run_sharded<MonteCarloAccumulator>(
-             CampaignConfig{config.trials, config.chunk_trials,
-                            config.threads},
-             chunk, merge_shard, report, progress)
-      .finalize();
+  return run_trials<memory::DuplexSystem>(system, config, report, progress,
+                                          "run_duplex_trials");
 }
 
 }  // namespace rsmem::analysis

@@ -52,10 +52,6 @@ struct MonteCarloConfig {
   std::size_t trials = 1000;
   double t_end_hours = 48.0;
   std::uint64_t seed = 42;
-  // A read that returns syntactically valid but WRONG data (undetected
-  // mis-correction) counts as a failure when true. The Markov chains count
-  // any unrecoverable pattern as Fail, so true is the faithful setting.
-  bool wrong_data_is_failure = true;
 
   // Parallel campaign knobs (see analysis/campaign.h). Neither changes the
   // result: 0 threads = hardware concurrency.
@@ -64,14 +60,17 @@ struct MonteCarloConfig {
 
   // Width of the gather/encode/decode/scatter batches inside each chunk:
   // that many trials' datawords are encoded by a single rs::encode_batch
-  // call at store time, and their raw module reads are gathered into one
-  // word/flag plane and decoded by a single rs::decode_batch call, so clean
-  // words exit through the plane-wide SIMD syndrome screen. 0 selects the
-  // default width; 1 forces the historical per-trial read() path (the A/B
-  // control — also taken whenever a degradation rung is enabled, since
-  // those reads cannot be batched). Like threads/chunk_trials this knob
-  // NEVER changes the result: every trial's RNG streams stay keyed by its
-  // global index, and the batched decode is bit-identical per word.
+  // call at store time, and their module reads (the systems' batched read
+  // surface) are gathered into one word/flag plane and decoded by a single
+  // rs::decode_batch call, so clean words exit through the plane-wide SIMD
+  // syndrome screen. 0 selects the default width (64). Width 1 is the
+  // per-trial read() path: the degradation path, which every campaign with
+  // an enabled degradation rung takes whatever this knob says (the rungs
+  // re-read a module mid-decode, which cannot be lifted into a plane), and
+  // bench_mc_vs_markov's control for its batched-plane gate. Like
+  // threads/chunk_trials this knob NEVER changes the result: every trial's
+  // RNG streams stay keyed by its global index, and the batched decode is
+  // bit-identical per word.
   std::size_t batch_trials = 0;
 
   // Optional per-trial hook, invoked after each trial completes. Called
@@ -124,7 +123,10 @@ struct MonteCarloAccumulator {
 
 // Runs `config.trials` independent lives of the system: store random data at
 // t=0, advance to t_end, read once (the paper's "stopping time" semantics).
-// Optionally reports campaign throughput / live progress.
+// A read that returns wrong data (an undetected mis-correction) counts as a
+// failure, as the Markov chains count any unrecoverable pattern as Fail.
+// Both arrangements run one campaign body. Optionally reports campaign
+// throughput / live progress.
 MonteCarloResult run_simplex_trials(const memory::SimplexSystemConfig& system,
                                     const MonteCarloConfig& config,
                                     CampaignReport* report = nullptr,

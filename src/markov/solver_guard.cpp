@@ -37,15 +37,14 @@ const char* to_string(SolverStage stage) {
   return "unknown";
 }
 
-GuardTrip check_distribution(std::span<const double> out, double pi0_mass,
-                             const SolverGuardConfig& config) {
+GuardTrip check_distribution(std::span<const double> out, double pi0_mass) {
   double sum = 0.0;
   for (const double p : out) {
     if (!std::isfinite(p)) return GuardTrip::kNonFinite;
-    if (p < -config.negative_tolerance) return GuardTrip::kNegativeMass;
+    if (p < -kNegativeTolerance) return GuardTrip::kNegativeMass;
     sum += p;
   }
-  if (std::abs(sum - pi0_mass) > config.mass_tolerance) {
+  if (std::abs(sum - pi0_mass) > kMassTolerance) {
     return GuardTrip::kMassDrift;
   }
   return GuardTrip::kNone;
@@ -118,7 +117,7 @@ void GuardedTransientSolver::solve_into(const Ctmc& chain,
     }
     GuardTrip trip = stage_forced(config_, stage)
                          ? GuardTrip::kForced
-                         : check_distribution(out, pi0_mass, config_);
+                         : check_distribution(out, pi0_mass);
     last_report_.attempts.push_back({stage, trip});
     if (trip == GuardTrip::kNone) {
       last_report_.answered_by = stage;

@@ -35,8 +35,8 @@ namespace rsmem::markov {
 enum class GuardTrip : std::uint8_t {
   kNone,
   kNonFinite,     // NaN or infinity in the distribution
-  kNegativeMass,  // an entry below -negative_tolerance
-  kMassDrift,     // |sum(out) - sum(pi0)| above mass_tolerance
+  kNegativeMass,  // an entry below -kNegativeTolerance
+  kMassDrift,     // |sum(out) - sum(pi0)| above kMassTolerance
   kForced,        // adversarial knob (fault-injection campaigns)
 };
 const char* to_string(GuardTrip trip);
@@ -48,12 +48,13 @@ enum class SolverStage : std::uint8_t {
 };
 const char* to_string(SolverStage stage);
 
+// Entries in [-kNegativeTolerance, 0) are accepted as roundoff; anything
+// more negative trips kNegativeMass.
+inline constexpr double kNegativeTolerance = 1e-12;
+// Probability mass must be conserved: |sum(out) - sum(pi0)| <= this.
+inline constexpr double kMassTolerance = 1e-9;
+
 struct SolverGuardConfig {
-  // Entries in [-negative_tolerance, 0) are accepted as roundoff; anything
-  // more negative trips kNegativeMass.
-  double negative_tolerance = 1e-12;
-  // Probability mass must be conserved: |sum(out) - sum(pi0)| <= this.
-  double mass_tolerance = 1e-9;
   // false: a trip in the first stage is immediately fatal (no fallback).
   bool enable_fallback = true;
   // Adversarial knobs: unconditionally reject the stage's answer with
@@ -76,8 +77,7 @@ struct GuardedSolveReport {
 
 // First guard trip for `out` given the input mass `pi0_mass` (kForced is
 // never returned here). Exposed for tests.
-GuardTrip check_distribution(std::span<const double> out, double pi0_mass,
-                             const SolverGuardConfig& config);
+GuardTrip check_distribution(std::span<const double> out, double pi0_mass);
 
 class GuardedTransientSolver final : public TransientSolver {
  public:

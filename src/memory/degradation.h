@@ -14,8 +14,8 @@
 //           decoder as erasures, covering latent faults the per-symbol
 //           detection has not reported yet;
 //   rung 3  duplex -> simplex demotion: a module whose detected-erasure
-//           count passes the dead-module threshold (default n-k+1: it can
-//           never again produce a decodable word alone) is declared dead
+//           count reaches n-k+1 (it can never again produce a
+//           decodable word alone) is declared dead
 //           and the pair continues simplex on the survivor;
 //   rung 4  retirement: after K consecutive unrecovered failures the word
 //           is retired -- reads report DegradedMode instead of risking a
@@ -52,10 +52,9 @@ struct DegradationPolicy {
   unsigned bank_stuck_threshold = 1;
 
   // Rung 3 (duplex): demote the pair to simplex when one module reports
-  // at least dead_module_erasure_threshold erased symbols (0 selects
-  // n - k + 1, the point where the module alone is beyond any decode).
+  // at least n - k + 1 erased symbols (the point where the module alone is
+  // beyond any decode).
   bool demote_on_dead_module = false;
-  unsigned dead_module_erasure_threshold = 0;
 
   // Rung 4: retire the word after this many CONSECUTIVE unrecovered
   // failures (0 = never retire). A retired system stops decoding and
@@ -66,12 +65,6 @@ struct DegradationPolicy {
   bool any_enabled() const {
     return retry_with_detection || (erasure_only_fallback && bank_symbols > 0) ||
            demote_on_dead_module || retire_after_failures > 0;
-  }
-
-  // Effective dead-module threshold for an RS(n,k) system.
-  unsigned dead_threshold(unsigned n, unsigned k) const {
-    return dead_module_erasure_threshold > 0 ? dead_module_erasure_threshold
-                                             : (n - k + 1);
   }
 };
 

@@ -1,30 +1,13 @@
 #include "memory/duplex_system.h"
 
 #include <algorithm>
-#include <cmath>
 #include <stdexcept>
 
 namespace rsmem::memory {
 
-namespace {
-
-std::shared_ptr<const rs::ReedSolomon> resolve_code(
-    const std::shared_ptr<const rs::ReedSolomon>& shared,
-    const rs::CodeParams& params) {
-  if (!shared) return std::make_shared<const rs::ReedSolomon>(params);
-  if (shared->n() != params.n || shared->k() != params.k ||
-      shared->m() != params.m || shared->fcr() != params.fcr) {
-    throw std::invalid_argument(
-        "DuplexSystem: shared_code parameters do not match code");
-  }
-  return shared;
-}
-
-}  // namespace
-
 DuplexSystem::DuplexSystem(const DuplexSystemConfig& config)
     : config_(config),
-      code_(resolve_code(config.shared_code, config.code)),
+      code_(resolve_code(config.shared_code, config.code, "DuplexSystem")),
       arbiter_(*code_),
       module1_(config.code.n, config.code.m),
       module2_(config.code.n, config.code.m),
@@ -77,17 +60,7 @@ void DuplexSystem::commit_store() {
   stored_ = true;
   injector1_->start();
   injector2_->start();
-  start_scrubbing();
-}
-
-void DuplexSystem::start_scrubbing() {
-  if (!scrubber_) return;
-  const double first = scrubber_->next_after(queue_.now());
-  if (!std::isfinite(first)) return;
-  queue_.set_tick(first, [this] {
-    scrub();
-    return scrubber_->next_after(queue_.now());
-  });
+  if (scrubber_) scrubber_->arm(queue_, [this] { scrub(); });
 }
 
 void DuplexSystem::scrub() {
@@ -207,8 +180,8 @@ bool DuplexSystem::probe_decode(const MemoryModule& module,
 void DuplexSystem::maybe_demote() const {
   module1_.detected_erasures_into(erasures1_scratch_);
   module2_.detected_erasures_into(erasures2_scratch_);
-  const unsigned threshold =
-      config_.degradation.dead_threshold(code_->n(), code_->k());
+  // n - k + 1 erasures put a module alone beyond any decode.
+  const unsigned threshold = code_->parity_symbols() + 1;
   const bool dead1 = erasures1_scratch_.size() >= threshold;
   const bool dead2 = erasures2_scratch_.size() >= threshold;
   if (dead1 && dead2) return;  // both beyond hope: a survivor cannot help
@@ -229,6 +202,7 @@ void DuplexSystem::maybe_demote() const {
 }
 
 const ArbiterResult& DuplexSystem::arbitrate_with_recovery() const {
+  gathered_ = false;
   // Every arbitration below refills arbitration_, which `result` names.
   const ArbiterResult& result = arbitrate_current();
   const DegradationPolicy& policy = config_.degradation;
@@ -291,6 +265,7 @@ void DuplexSystem::advance_to(double t_hours) {
   if (!stored_) {
     throw std::logic_error("DuplexSystem::advance_to: nothing stored");
   }
+  gathered_ = false;
   queue_.run_until(t_hours);
   stats_.seu_injected =
       injector1_->seu_injected() + injector2_->seu_injected();
@@ -302,19 +277,25 @@ DuplexReadResult DuplexSystem::read() const {
   if (!stored_) {
     throw std::logic_error("DuplexSystem::read: nothing stored");
   }
-  DuplexReadResult result;
   if (retired_) {
     ++degradation_.reads_in_degraded_mode;
+    DuplexReadResult result;
     result.degraded = true;
     return result;  // success=false: the word was retired (DegradedMode)
   }
-  result.arbitration = arbitrate_with_recovery();
+  arbitrate_with_recovery();
+  return read_result();
+}
+
+DuplexReadResult DuplexSystem::read_result() const {
+  DuplexReadResult result;
+  result.arbitration = arbitration_;
   result.degraded = demoted();
   if (result.degraded) ++degradation_.reads_in_degraded_mode;
-  result.read.outcome = result.arbitration.outcome1;
-  result.read.success = result.arbitration.has_output();
+  result.read.outcome = arbitration_.outcome1;
+  result.read.success = arbitration_.has_output();
   if (result.read.success) {
-    result.read.data = code_->extract_data(result.arbitration.output);
+    result.read.data = code_->extract_data(arbitration_.output);
     result.read.data_correct =
         std::equal(result.read.data.begin(), result.read.data.end(),
                    stored_data_.begin(), stored_data_.end());
@@ -327,48 +308,47 @@ bool DuplexSystem::supports_batched_read() const {
          !config_.degradation.any_enabled();
 }
 
-void DuplexSystem::read_into_masked_pair(std::span<Element> word1,
-                                         std::span<Element> word2,
-                                         std::span<std::uint8_t> flags1,
-                                         std::span<std::uint8_t> flags2,
-                                         ArbiterResult& partial) const {
+void DuplexSystem::read_into_plane(std::span<Element> words,
+                                   std::span<std::uint8_t> flags) const {
   if (!supports_batched_read()) {
     throw std::logic_error(
-        "DuplexSystem::read_into_masked_pair: batched read unsupported "
-        "(need stored data, inert degradation policy)");
+        "DuplexSystem::read_into_plane: batched read unsupported (need "
+        "stored data, inert degradation policy)");
   }
-  module1_.read_into_plane(word1, flags1);
-  module2_.read_into_plane(word2, flags2);
-  arbiter_.mask_erasures(word1, word2, flags1, flags2, partial);
+  const std::size_t n = code_->n();
+  if (words.size() != kPlaneWords * n || flags.size() != kPlaneWords * n) {
+    throw std::invalid_argument(
+        "DuplexSystem::read_into_plane: need 2n symbols and flags");
+  }
+  module1_.read_into_plane(words.first(n), flags.first(n));
+  module2_.read_into_plane(words.last(n), flags.last(n));
+  arbiter_.mask_erasures(words.first(n), words.last(n), flags.first(n),
+                         flags.last(n), arbitration_);
+  gathered_ = true;
 }
 
 DuplexReadResult DuplexSystem::finish_batched_read(
-    std::span<const Element> word1, std::span<const Element> word2,
-    const rs::DecodeOutcome& outcome1, const rs::DecodeOutcome& outcome2,
-    ArbiterResult&& partial) const {
-  if (!supports_batched_read()) {
+    std::span<const Element> words,
+    std::span<const rs::DecodeOutcome> outcomes) const {
+  // The gather checked supports_batched_read(), and only an arbitration,
+  // which discards the gather, can retire or demote the pair.
+  if (!gathered_) {
     throw std::logic_error(
-        "DuplexSystem::finish_batched_read: batched read unsupported");
+        "DuplexSystem::finish_batched_read: no read_into_plane before it");
   }
-  // Replays read()'s tail: with an inert degradation policy
-  // arbitrate_with_recovery is exactly {arbitrate, note_decode_result}, and
-  // steps 1-2 of the arbitration already happened externally.
-  partial.outcome1 = outcome1;
-  partial.outcome2 = outcome2;
-  arbiter_.select(word1, word2, partial);
-  note_decode_result(partial.has_output());
-  DuplexReadResult result;
-  result.arbitration = std::move(partial);
-  result.degraded = false;  // gated on !demoted() && !retired_
-  result.read.outcome = result.arbitration.outcome1;
-  result.read.success = result.arbitration.has_output();
-  if (result.read.success) {
-    result.read.data = code_->extract_data(result.arbitration.output);
-    result.read.data_correct =
-        std::equal(result.read.data.begin(), result.read.data.end(),
-                   stored_data_.begin(), stored_data_.end());
+  const std::size_t n = code_->n();
+  if (words.size() != kPlaneWords * n || outcomes.size() != kPlaneWords) {
+    throw std::invalid_argument(
+        "DuplexSystem::finish_batched_read: need 2n symbols, 2 outcomes");
   }
-  return result;
+  gathered_ = false;
+  // With an inert degradation policy arbitrate_with_recovery is exactly
+  // {arbitrate, note_decode_result}, and steps 1-2 already happened.
+  arbitration_.outcome1 = outcomes[0];
+  arbitration_.outcome2 = outcomes[1];
+  arbiter_.select(words.first(n), words.last(n), arbitration_);
+  note_decode_result(arbitration_.has_output());
+  return read_result();
 }
 
 DamageSummary DuplexSystem::damage(unsigned module_index) const {

@@ -5,8 +5,8 @@
 // flag-based selection on every read and scrub. This is the executable
 // counterpart of the 6-tuple Markov chain in src/models/duplex_model.h.
 //
-// Scrub passes run as the event queue's tick (sim::EventQueue::set_tick),
-// not as heap events; fault arrivals stay on the heap.
+// Scrub passes run as the event queue's tick, armed by Scrubber::arm, not
+// as heap events; fault arrivals stay on the heap.
 //
 // Scrub replay: a scrub pass that finds both modules at the generations
 // (MemoryModule::generation) the last arbitrated pass read, under an inert
@@ -78,34 +78,25 @@ class DuplexSystem {
   DuplexReadResult read() const;
 
   // --- Batched read surface (campaign gather/scatter) ----------------------
-  // Duplex counterpart of SimplexSystem's split read: gather the two
-  // modules' reads with arbiter step-1 erasure masking already applied,
-  // decode both words externally (one rs::decode_batch plane across many
-  // systems — the flag spans come back holding each word's common-erasure
-  // indicator, decode_batch's erasure_flags layout), then finish with the
-  // arbiter's flag-based selection. Bit-identical to read() whenever
-  // supports_batched_read() holds.
-  //
+  // The shape SimplexSystem documents, with two words per read:
+  // read_into_plane fills module 1's word then module 2's with arbiter
+  // step 1 (erasure masking) applied, both flag slots holding the pair's
+  // common erasures; the external decode is step 2; finish_batched_read
+  // runs step 3 (flag-based selection) and read()'s tail. Step 1's result
+  // waits in arbitration_ between the two calls, so finish_batched_read
+  // throws std::logic_error unless read_into_plane came just before it (a
+  // read() or advance_to() in between discards the gather).
+  static constexpr unsigned kPlaneWords = 2;
   // True when read() reduces to {mask, two decodes, select}: data stored,
   // not retired, not demoted, every degradation rung disabled.
   bool supports_batched_read() const;
-  // Gather + arbiter step 1: raw module reads masked in place, both flag
-  // spans rewritten to the common-erasure indicator, `partial` filled with
-  // common_erasures/masked_erasures (outcomes still default). All spans of
-  // size n.
-  void read_into_masked_pair(std::span<Element> word1,
-                             std::span<Element> word2,
-                             std::span<std::uint8_t> flags1,
-                             std::span<std::uint8_t> flags2,
-                             ArbiterResult& partial) const;
-  // Scatter: consumes the two externally-decoded words and outcomes plus
-  // the ArbiterResult read_into_masked_pair filled; runs arbiter step 3 and
-  // read()'s bookkeeping/data tail. Requires supports_batched_read().
-  DuplexReadResult finish_batched_read(std::span<const Element> word1,
-                                       std::span<const Element> word2,
-                                       const rs::DecodeOutcome& outcome1,
-                                       const rs::DecodeOutcome& outcome2,
-                                       ArbiterResult&& partial) const;
+  // Masked words and common-erasure flags (spans of size 2n).
+  void read_into_plane(std::span<Element> words,
+                       std::span<std::uint8_t> flags) const;
+  // The two decoded words (size 2n) and their two outcomes.
+  DuplexReadResult finish_batched_read(
+      std::span<const Element> words,
+      std::span<const rs::DecodeOutcome> outcomes) const;
 
   // Ground-truth damage of one module (0 or 1) versus the stored codeword.
   DamageSummary damage(unsigned module_index) const;
@@ -139,9 +130,6 @@ class DuplexSystem {
   // modules and start the fault/scrub processes.
   void commit_store();
   void scrub();
-  // Arms the queue's tick with the scrub schedule: a pass at every scrub
-  // time from now on (scrubs are never heap events).
-  void start_scrubbing();
   // Full arbitration over the current module contents, on the scratch
   // planes, into arbitration_ (returned). With an active demotion, decodes
   // the survivor alone instead and synthesizes an equivalent ArbiterResult.
@@ -156,6 +144,9 @@ class DuplexSystem {
                     std::vector<unsigned>& erasures) const;
   void maybe_demote() const;
   void note_decode_result(bool ok) const;
+  // read()'s result for the arbitration in arbitration_, shared with
+  // finish_batched_read.
+  DuplexReadResult read_result() const;
 
   DuplexSystemConfig config_;
   std::shared_ptr<const rs::ReedSolomon> code_;  // must precede arbiter_
@@ -182,6 +173,9 @@ class DuplexSystem {
   mutable std::vector<unsigned> erasures1_scratch_;
   mutable std::vector<unsigned> erasures2_scratch_;
   mutable ArbiterResult arbitration_;
+  // True from read_into_plane until the finish_batched_read that uses its
+  // step-1 result in arbitration_ (or until a read or advance_to).
+  mutable bool gathered_ = false;
   // Scrub replay (see scrub()): the verdict of the last arbitrated scrub
   // pass and the module generations that pass read, or left after a clean
   // rewrite.

@@ -1,27 +1,22 @@
 #include "memory/simplex_system.h"
 
 #include <algorithm>
-#include <cmath>
 #include <stdexcept>
 #include <string>
 
 namespace rsmem::memory {
 
-namespace {
-
 std::shared_ptr<const rs::ReedSolomon> resolve_code(
     const std::shared_ptr<const rs::ReedSolomon>& shared,
-    const rs::CodeParams& params, const char* what) {
+    const rs::CodeParams& params, const char* who) {
   if (!shared) return std::make_shared<const rs::ReedSolomon>(params);
   if (shared->n() != params.n || shared->k() != params.k ||
       shared->m() != params.m || shared->fcr() != params.fcr) {
-    throw std::invalid_argument(std::string(what) +
+    throw std::invalid_argument(std::string(who) +
                                 ": shared_code parameters do not match code");
   }
   return shared;
 }
-
-}  // namespace
 
 SimplexSystem::SimplexSystem(const SimplexSystemConfig& config)
     : config_(config),
@@ -66,17 +61,7 @@ void SimplexSystem::commit_store() {
   module_.write(stored_codeword_);
   stored_ = true;
   injector_->start();
-  start_scrubbing();
-}
-
-void SimplexSystem::start_scrubbing() {
-  if (!scrubber_) return;
-  const double first = scrubber_->next_after(queue_.now());
-  if (!std::isfinite(first)) return;
-  queue_.set_tick(first, [this] {
-    scrub();
-    return scrubber_->next_after(queue_.now());
-  });
+  if (scrubber_) scrubber_->arm(queue_, [this] { scrub(); });
 }
 
 void SimplexSystem::scrub() {
@@ -175,17 +160,24 @@ ReadResult SimplexSystem::read() const {
   if (!stored_) {
     throw std::logic_error("SimplexSystem::read: nothing stored");
   }
-  ReadResult result;
   if (retired_) {
     ++degradation_.reads_in_degraded_mode;
-    return result;  // success=false: the word was retired (DegradedMode)
+    return {};  // success=false: the word was retired (DegradedMode)
   }
   module_.read_into(word_scratch_);
   module_.detected_erasures_into(erasure_scratch_);
-  result.outcome = decode_with_recovery(word_scratch_, erasure_scratch_);
-  result.success = result.outcome.ok();
+  const rs::DecodeOutcome outcome =
+      decode_with_recovery(word_scratch_, erasure_scratch_);
+  return read_result(word_scratch_, outcome);
+}
+
+ReadResult SimplexSystem::read_result(std::span<const Element> word,
+                                      const rs::DecodeOutcome& outcome) const {
+  ReadResult result;
+  result.outcome = outcome;
+  result.success = outcome.ok();
   if (result.success) {
-    result.data = code_->extract_data(word_scratch_);
+    result.data = code_->extract_data(word);
     result.data_correct =
         std::equal(result.data.begin(), result.data.end(),
                    stored_data_.begin(), stored_data_.end());
@@ -197,36 +189,32 @@ bool SimplexSystem::supports_batched_read() const {
   return stored_ && !retired_ && !config_.degradation.any_enabled();
 }
 
-void SimplexSystem::read_into_plane(
-    std::span<Element> word, std::span<std::uint8_t> erasure_flags) const {
+void SimplexSystem::check_batched_read(const char* who) const {
   if (!supports_batched_read()) {
-    throw std::logic_error(
-        "SimplexSystem::read_into_plane: batched read unsupported "
-        "(need stored data, inert degradation policy)");
+    throw std::logic_error(std::string(who) +
+                           ": batched read unsupported (need stored data, "
+                           "inert degradation policy)");
   }
-  module_.read_into_plane(word, erasure_flags);
+}
+
+void SimplexSystem::read_into_plane(std::span<Element> words,
+                                    std::span<std::uint8_t> flags) const {
+  check_batched_read("SimplexSystem::read_into_plane");
+  module_.read_into_plane(words, flags);
 }
 
 ReadResult SimplexSystem::finish_batched_read(
-    std::span<const Element> word, const rs::DecodeOutcome& outcome) const {
-  if (!supports_batched_read()) {
-    throw std::logic_error(
-        "SimplexSystem::finish_batched_read: batched read unsupported");
+    std::span<const Element> words,
+    std::span<const rs::DecodeOutcome> outcomes) const {
+  check_batched_read("SimplexSystem::finish_batched_read");
+  if (words.size() != code_->n() || outcomes.size() != kPlaneWords) {
+    throw std::invalid_argument(
+        "SimplexSystem::finish_batched_read: need n symbols, 1 outcome");
   }
-  // Replays read()'s tail: with an inert degradation policy
-  // decode_with_recovery is exactly {decode, note_decode_result}, and the
-  // decode already happened externally.
-  note_decode_result(outcome.ok());
-  ReadResult result;
-  result.outcome = outcome;
-  result.success = outcome.ok();
-  if (result.success) {
-    result.data = code_->extract_data(word);
-    result.data_correct =
-        std::equal(result.data.begin(), result.data.end(),
-                   stored_data_.begin(), stored_data_.end());
-  }
-  return result;
+  // With an inert degradation policy decode_with_recovery is exactly
+  // {decode, note_decode_result}, and the decode already happened.
+  note_decode_result(outcomes[0].ok());
+  return read_result(words, outcomes[0]);
 }
 
 DamageSummary SimplexSystem::damage() const {

@@ -1,7 +1,8 @@
 // Functional simulation of the SIMPLEX RS-coded memory system.
 //
 // One module stores one RS(n,k) codeword of real bits; faults arrive by
-// Poisson injection; scrubbing periodically read-corrects-rewrites the word.
+// Poisson injection; scrubbing periodically read-corrects-rewrites the word
+// (the scrub pass is the event queue's tick, armed by Scrubber::arm).
 // Reads run the actual decoder, so every behaviour the Markov chain
 // abstracts (including decoder mis-correction) happens for real here.
 #ifndef RSMEM_MEMORY_SIMPLEX_SYSTEM_H
@@ -69,6 +70,12 @@ struct SimplexSystemConfig {
   DegradationPolicy degradation;
 };
 
+// The codec a system runs: `shared` when set (its parameters must match
+// `params`; std::invalid_argument naming `who` otherwise), else a new one.
+std::shared_ptr<const rs::ReedSolomon> resolve_code(
+    const std::shared_ptr<const rs::ReedSolomon>& shared,
+    const rs::CodeParams& params, const char* who);
+
 class SimplexSystem {
  public:
   explicit SimplexSystem(const SimplexSystemConfig& config);
@@ -96,26 +103,28 @@ class SimplexSystem {
   ReadResult read() const;
 
   // --- Batched read surface (campaign gather/scatter) ----------------------
-  // A campaign can gather many systems' raw reads into one word/flag plane,
-  // run a single rs::decode_batch over it, and hand each word's outcome
-  // back to its system. The split read is bit-identical to read() whenever
-  // supports_batched_read() holds: the decode is external but identical,
-  // and finish_batched_read replays read()'s bookkeeping.
-  //
-  // True when the per-word read() reduces to exactly {gather, one decode,
-  // finish}: data stored, not retired, and every degradation rung disabled
-  // (the rungs re-read the module mid-decode, which cannot be batched).
+  // SimplexSystem and DuplexSystem share this shape, so one campaign loop
+  // drives both (analysis/monte_carlo.cpp). A read is kPlaneWords decoded
+  // words: read_into_plane gathers them into a caller's word/flag plane
+  // slot (kPlaneWords * n symbols, in decode_batch's erasure_flags layout),
+  // one rs::decode_batch call decodes many systems' slots, and
+  // finish_batched_read takes the decoded words back with their
+  // kPlaneWords outcomes. The split read is bit-identical to read()
+  // whenever supports_batched_read() holds; both calls throw
+  // std::logic_error when it does not.
+  static constexpr unsigned kPlaneWords = 1;
+  // True when read() reduces to exactly {gather, one decode, finish}: data
+  // stored, not retired, and every degradation rung disabled (the rungs
+  // re-read the module mid-decode, which cannot be batched).
   bool supports_batched_read() const;
-  // Raw module gather: word values + per-symbol detected-erasure flags
-  // (both spans of size n), in decode_batch's erasure_flags layout.
-  void read_into_plane(std::span<Element> word,
-                       std::span<std::uint8_t> erasure_flags) const;
-  // Scatter: consumes the externally-decoded word (post-decode content of
-  // the gathered plane slot) and its outcome; performs read()'s
-  // failure-counting and data-extraction tail. Requires
-  // supports_batched_read().
-  ReadResult finish_batched_read(std::span<const Element> word,
-                                 const rs::DecodeOutcome& outcome) const;
+  // The raw module read and its detected-erasure flags (spans of size n).
+  void read_into_plane(std::span<Element> words,
+                       std::span<std::uint8_t> flags) const;
+  // The decoded word (size n) and its outcome: read()'s failure counting
+  // and result.
+  ReadResult finish_batched_read(
+      std::span<const Element> words,
+      std::span<const rs::DecodeOutcome> outcomes) const;
 
   // Ground-truth damage versus the stored codeword (instrumentation).
   DamageSummary damage() const;
@@ -142,15 +151,16 @@ class SimplexSystem {
   // module and start the fault/scrub processes.
   void commit_store();
   void scrub();
-  // Arms the queue's tick with the scrub schedule: a pass at every scrub
-  // time from now on (scrubs are never heap events).
-  void start_scrubbing();
   // One decode plus the degradation escalation chain (retry-with-detection,
   // bank-wide erasure fallback) and the consecutive-failure/retire
   // bookkeeping. With the default policy this is exactly one decode.
   rs::DecodeOutcome decode_with_recovery(std::span<Element> word,
                                          std::vector<unsigned>& erasures) const;
   void note_decode_result(bool ok) const;
+  // read()'s result for a decoded `word`, shared with finish_batched_read.
+  ReadResult read_result(std::span<const Element> word,
+                         const rs::DecodeOutcome& outcome) const;
+  void check_batched_read(const char* who) const;
 
   SimplexSystemConfig config_;
   std::shared_ptr<const rs::ReedSolomon> code_;

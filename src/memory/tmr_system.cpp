@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <cmath>
 #include <stdexcept>
 
 namespace rsmem::memory {
@@ -33,7 +32,7 @@ void TmrSystem::store(std::span<const Element> data) {
   for (auto& module : modules_) module->write(stored_data_);
   stored_ = true;
   for (auto& injector : injectors_) injector->start();
-  start_scrubbing();
+  if (scrubber_) scrubber_->arm(queue_, [this] { scrub(); });
 }
 
 std::vector<Element> TmrSystem::vote() const {
@@ -46,16 +45,6 @@ std::vector<Element> TmrSystem::vote() const {
     out[i] = (a[i] & b[i]) | (b[i] & c[i]) | (c[i] & a[i]);
   }
   return out;
-}
-
-void TmrSystem::start_scrubbing() {
-  if (!scrubber_) return;
-  const double first = scrubber_->next_after(queue_.now());
-  if (!std::isfinite(first)) return;
-  queue_.set_tick(first, [this] {
-    scrub();
-    return scrubber_->next_after(queue_.now());
-  });
 }
 
 void TmrSystem::inject_bit_flip(unsigned module_index, unsigned symbol,

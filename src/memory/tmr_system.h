@@ -66,9 +66,6 @@ class TmrSystem {
  private:
   std::vector<Element> vote() const;
   void scrub();
-  // Arms the queue's tick with the scrub schedule: a pass at every scrub
-  // time from now on (scrubs are never heap events).
-  void start_scrubbing();
 
   TmrSystemConfig config_;
   sim::EventQueue queue_;

@@ -9,25 +9,6 @@ namespace rsmem::models {
 
 namespace {
 
-bool same_params(const SimplexParams& a, const SimplexParams& b) {
-  return a.n == b.n && a.k == b.k && a.m == b.m &&
-         a.seu_rate_per_bit_hour == b.seu_rate_per_bit_hour &&
-         a.erasure_rate_per_symbol_hour == b.erasure_rate_per_symbol_hour &&
-         a.scrub_rate_per_hour == b.scrub_rate_per_hour &&
-         a.mbu_probability == b.mbu_probability &&
-         a.mbu_span_bits == b.mbu_span_bits;
-}
-
-bool same_params(const DuplexParams& a, const DuplexParams& b) {
-  return a.n == b.n && a.k == b.k && a.m == b.m &&
-         a.seu_rate_per_bit_hour == b.seu_rate_per_bit_hour &&
-         a.erasure_rate_per_symbol_hour == b.erasure_rate_per_symbol_hour &&
-         a.scrub_rate_per_hour == b.scrub_rate_per_hour &&
-         a.convention == b.convention &&
-         a.fail_criterion == b.fail_criterion &&
-         a.use_text_rate_for_b == b.use_text_rate_for_b;
-}
-
 // Records the enumeration of a freshly built space: per state, the dense
 // destination index of every emission the builder kept (nonzero rate, not
 // a self-loop), in emission order.
@@ -101,37 +82,56 @@ std::optional<markov::StateSpace> replay_structure(
 
 }  // namespace
 
+ChainCache::SimplexStructKey ChainCache::structural_key(
+    const SimplexParams& params) {
+  return {params.n,
+          params.k,
+          params.m,
+          params.seu_rate_per_bit_hour > 0.0,
+          params.erasure_rate_per_symbol_hour > 0.0,
+          params.scrub_rate_per_hour > 0.0,
+          params.mbu_probability,
+          params.mbu_span_bits};
+}
+
+ChainCache::DuplexStructKey ChainCache::structural_key(
+    const DuplexParams& params) {
+  return {params.n,
+          params.k,
+          params.m,
+          params.seu_rate_per_bit_hour > 0.0,
+          params.erasure_rate_per_symbol_hour > 0.0,
+          params.scrub_rate_per_hour > 0.0,
+          params.convention,
+          params.fail_criterion,
+          params.use_text_rate_for_b};
+}
+
 std::shared_ptr<const markov::StateSpace> ChainCache::simplex(
     const SimplexParams& params) {
   const std::lock_guard<std::mutex> lock(mutex_);
-  return simplex_locked(params);
+  return lookup_locked<SimplexModel>(simplex_, params);
 }
 
 std::shared_ptr<const markov::StateSpace> ChainCache::duplex(
     const DuplexParams& params) {
   const std::lock_guard<std::mutex> lock(mutex_);
-  return duplex_locked(params);
+  return lookup_locked<DuplexModel>(duplex_, params);
 }
 
-std::shared_ptr<const markov::StateSpace> ChainCache::simplex_locked(
-    const SimplexParams& params) {
-  for (const auto& [memo_params, space] : simplex_memo_) {
-    if (same_params(memo_params, params)) {
+template <typename Model, typename Params, typename Key>
+std::shared_ptr<const markov::StateSpace> ChainCache::lookup_locked(
+    Shelf<Params, Key>& shelf, const Params& params) {
+  for (const auto& [memo_params, space] : shelf.memo) {
+    if (memo_params == params) {
       ++stats_.exact_hits;
       return space;
     }
   }
-  const SimplexModel model{params};  // validates params before any caching
-  const SimplexStructKey key{params.n,
-                             params.k,
-                             params.m,
-                             params.seu_rate_per_bit_hour > 0.0,
-                             params.erasure_rate_per_symbol_hour > 0.0,
-                             params.scrub_rate_per_hour > 0.0,
-                             params.mbu_probability,
-                             params.mbu_span_bits};
+  const Model model{params};  // validates params before any caching
+  const Key key = structural_key(params);
   std::shared_ptr<const markov::StateSpace> space;
-  for (const auto& [struct_key, st] : simplex_structs_) {
+  for (const auto& [struct_key, st] : shelf.structs) {
     if (struct_key == key) {
       if (auto replayed = replay_structure(model, st)) {
         ++stats_.replays;
@@ -151,66 +151,15 @@ std::shared_ptr<const markov::StateSpace> ChainCache::simplex_locked(
     st.index = built->index;
     st.initial_index = built->initial_index;
     capture_structure(model, *built, st.dest_offsets, st.dests);
-    std::erase_if(simplex_structs_,
+    std::erase_if(shelf.structs,
                   [&](const auto& entry) { return entry.first == key; });
-    simplex_structs_.emplace_back(key, std::move(st));
+    shelf.structs.emplace_back(key, std::move(st));
     space = std::move(built);
   }
-  if (simplex_memo_.size() >= kMaxMemo) {
-    simplex_memo_.erase(simplex_memo_.begin());
+  if (shelf.memo.size() >= kMaxMemo) {
+    shelf.memo.erase(shelf.memo.begin());
   }
-  simplex_memo_.emplace_back(params, space);
-  return space;
-}
-
-std::shared_ptr<const markov::StateSpace> ChainCache::duplex_locked(
-    const DuplexParams& params) {
-  for (const auto& [memo_params, space] : duplex_memo_) {
-    if (same_params(memo_params, params)) {
-      ++stats_.exact_hits;
-      return space;
-    }
-  }
-  const DuplexModel model{params};
-  const DuplexStructKey key{params.n,
-                            params.k,
-                            params.m,
-                            params.seu_rate_per_bit_hour > 0.0,
-                            params.erasure_rate_per_symbol_hour > 0.0,
-                            params.scrub_rate_per_hour > 0.0,
-                            params.convention,
-                            params.fail_criterion,
-                            params.use_text_rate_for_b};
-  std::shared_ptr<const markov::StateSpace> space;
-  for (const auto& [struct_key, st] : duplex_structs_) {
-    if (struct_key == key) {
-      if (auto replayed = replay_structure(model, st)) {
-        ++stats_.replays;
-        space = std::make_shared<const markov::StateSpace>(
-            std::move(*replayed));
-      } else {
-        ++stats_.replay_fallbacks;
-      }
-      break;
-    }
-  }
-  if (!space) {
-    ++stats_.builds;
-    auto built = std::make_shared<markov::StateSpace>(model.build());
-    Structure st;
-    st.states = built->states;
-    st.index = built->index;
-    st.initial_index = built->initial_index;
-    capture_structure(model, *built, st.dest_offsets, st.dests);
-    std::erase_if(duplex_structs_,
-                  [&](const auto& entry) { return entry.first == key; });
-    duplex_structs_.emplace_back(key, std::move(st));
-    space = std::move(built);
-  }
-  if (duplex_memo_.size() >= kMaxMemo) {
-    duplex_memo_.erase(duplex_memo_.begin());
-  }
-  duplex_memo_.emplace_back(params, space);
+  shelf.memo.emplace_back(params, space);
   return space;
 }
 
@@ -221,10 +170,10 @@ ChainCache::Stats ChainCache::stats() const {
 
 void ChainCache::clear() {
   const std::lock_guard<std::mutex> lock(mutex_);
-  simplex_memo_.clear();
-  duplex_memo_.clear();
-  simplex_structs_.clear();
-  duplex_structs_.clear();
+  simplex_.memo.clear();
+  simplex_.structs.clear();
+  duplex_.memo.clear();
+  duplex_.structs.clear();
   stats_ = Stats{};
 }
 

@@ -53,6 +53,10 @@ class ChainCache {
   Stats stats() const;
   void clear();
 
+  // Exact-parameter memo size per arrangement; past it the oldest entry is
+  // evicted (its structure stays, so a re-query replays).
+  static constexpr std::size_t kMaxMemo = 256;
+
  private:
   // Recorded enumeration: states in BFS discovery order plus, per state,
   // the dense indices of its nonzero non-self transitions in emission
@@ -82,23 +86,27 @@ class ChainCache {
     friend bool operator==(const DuplexStructKey&,
                            const DuplexStructKey&) = default;
   };
-  // Exact-parameter memo plus per-structural-key enumerations. Linear
-  // scans: the paper's design spaces touch at most a few dozen keys, far
-  // below the cost of one transient solve.
-  static constexpr std::size_t kMaxMemo = 256;
+  static SimplexStructKey structural_key(const SimplexParams& params);
+  static DuplexStructKey structural_key(const DuplexParams& params);
 
-  std::shared_ptr<const markov::StateSpace> simplex_locked(
-      const SimplexParams& params);
-  std::shared_ptr<const markov::StateSpace> duplex_locked(
-      const DuplexParams& params);
+  // One arrangement's exact-parameter memo and per-structural-key
+  // enumerations. Linear scans: the paper's design spaces touch at most a
+  // few dozen keys, far below the cost of one transient solve.
+  template <typename Params, typename Key>
+  struct Shelf {
+    std::vector<std::pair<Params, std::shared_ptr<const markov::StateSpace>>>
+        memo;
+    std::vector<std::pair<Key, Structure>> structs;
+  };
+
+  // The lookup both arrangements run (steps 1-3 above), under mutex_.
+  template <typename Model, typename Params, typename Key>
+  std::shared_ptr<const markov::StateSpace> lookup_locked(
+      Shelf<Params, Key>& shelf, const Params& params);
 
   mutable std::mutex mutex_;
-  std::vector<std::pair<SimplexParams, std::shared_ptr<const markov::StateSpace>>>
-      simplex_memo_;
-  std::vector<std::pair<DuplexParams, std::shared_ptr<const markov::StateSpace>>>
-      duplex_memo_;
-  std::vector<std::pair<SimplexStructKey, Structure>> simplex_structs_;
-  std::vector<std::pair<DuplexStructKey, Structure>> duplex_structs_;
+  Shelf<SimplexParams, SimplexStructKey> simplex_;
+  Shelf<DuplexParams, DuplexStructKey> duplex_;
   Stats stats_;
 };
 

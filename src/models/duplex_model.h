@@ -63,6 +63,8 @@ struct DuplexParams {
   RateConvention convention = RateConvention::kPaper;
   FailCriterion fail_criterion = FailCriterion::kAnyWordUnrecoverable;
   bool use_text_rate_for_b = false;  // erratum ablation (see header comment)
+
+  friend bool operator==(const DuplexParams&, const DuplexParams&) = default;
 };
 
 struct DuplexState {

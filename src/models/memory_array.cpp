@@ -44,16 +44,6 @@ double expected_failed_words(double word_fail_probability,
   return static_cast<double>(words) * word_fail_probability;
 }
 
-std::vector<double> array_survival_curve(const BerCurve& word_curve,
-                                         std::size_t words) {
-  std::vector<double> out;
-  out.reserve(word_curve.fail_probability.size());
-  for (const double p : word_curve.fail_probability) {
-    out.push_back(array_survival(p, words));
-  }
-  return out;
-}
-
 double array_mttdl_hours(const SimplexParams& params, std::size_t words,
                          double horizon_hours) {
   if (horizon_hours <= 0.0) {

@@ -15,7 +15,6 @@
 
 #include <cstddef>
 #include <span>
-#include <vector>
 
 #include "models/ber.h"
 
@@ -32,10 +31,6 @@ double array_loss_probability(double word_fail_probability,
 
 double expected_failed_words(double word_fail_probability,
                              std::size_t words);
-
-// Array survival curve from a per-word BER curve.
-std::vector<double> array_survival_curve(const BerCurve& word_curve,
-                                         std::size_t words);
 
 // Mean time to first data loss of the array (hours): integrates the array
 // survival over time by adaptive Simpson on the word-level chain solution.

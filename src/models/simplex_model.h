@@ -42,6 +42,8 @@ struct SimplexParams {
   // 2 <= mbu_span_bits <= m when mbu_probability > 0.
   double mbu_probability = 0.0;
   unsigned mbu_span_bits = 2;
+
+  friend bool operator==(const SimplexParams&, const SimplexParams&) = default;
 };
 
 class SimplexModel final : public markov::TransitionModel {

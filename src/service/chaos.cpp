@@ -18,6 +18,9 @@ namespace {
 // never share a stream.
 constexpr std::uint64_t kAcceptStream = 1;
 
+// Dribble size of a kPartialWrite frame.
+constexpr std::size_t kPartialChunkBytes = 3;
+
 std::uint64_t write_stream(std::uint64_t session_id) {
   return 2 * session_id + 2;
 }
@@ -233,10 +236,10 @@ core::Status ChaosSession::write_frame(int fd, std::string_view payload) {
       buffer.append(reinterpret_cast<const char*>(header.data()),
                     header.size());
       buffer.append(payload);
-      const std::size_t chunk =
-          std::max<std::size_t>(1, policy_.partial_chunk_bytes);
-      for (std::size_t offset = 0; offset < buffer.size(); offset += chunk) {
-        const std::size_t n = std::min(chunk, buffer.size() - offset);
+      for (std::size_t offset = 0; offset < buffer.size();
+           offset += kPartialChunkBytes) {
+        const std::size_t n =
+            std::min(kPartialChunkBytes, buffer.size() - offset);
         const core::Status wrote =
             wire::write_all(fd, buffer.data() + offset, n);
         if (!wrote.is_ok()) return wrote;

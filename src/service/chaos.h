@@ -68,8 +68,7 @@ struct ChaosPolicy {
   // Accept-time failures (drawn once per accepted connection).
   double accept_fail = 0.0;
 
-  double stall_ms = 5.0;            // length of an injected stall
-  unsigned partial_chunk_bytes = 3;  // dribble size for kPartialWrite
+  double stall_ms = 5.0;  // length of an injected stall
 
   bool any() const {
     return torn_frame > 0 || corrupt_length > 0 || corrupt_payload > 0 ||

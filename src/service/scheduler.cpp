@@ -138,6 +138,9 @@ AnalysisScheduler::Stats& AnalysisScheduler::Stats::merge(const Stats& other) {
 
 namespace {
 
+// The retry-after hint a brown-out refusal carries.
+constexpr double kBrownoutRetryAfterMs = 50.0;
+
 std::int64_t steady_now_ns() {
   return std::chrono::duration_cast<std::chrono::nanoseconds>(
              std::chrono::steady_clock::now().time_since_epoch())
@@ -148,11 +151,8 @@ std::int64_t steady_now_ns() {
 
 AnalysisScheduler::AnalysisScheduler(const SchedulerConfig& config)
     : config_(config),
-      brownout_enter_(config.brownout_enter > 0
-                          ? config.brownout_enter
-                          : std::max<std::size_t>(1, 3 * config.max_queue / 4)),
-      brownout_exit_(config.brownout_exit > 0 ? config.brownout_exit
-                                              : config.max_queue / 4),
+      brownout_enter_(std::max<std::size_t>(1, 3 * config.max_queue / 4)),
+      brownout_exit_(config.max_queue / 4),
       cache_(config.cache_capacity),
       pool_(config.threads),
       last_progress_ns_(steady_now_ns()),
@@ -182,41 +182,38 @@ core::Status AnalysisScheduler::submit(Request request,
   // are heuristic (racing submitters may each flip the flag; that's fine,
   // entries are counted via exchange) — correctness only needs: while the
   // flag is set, misses are shed typed and hits are served inline.
-  if (config_.brownout_enabled) {
-    const std::size_t depth = in_flight_now();
-    bool active = brownout_.load(std::memory_order_relaxed);
-    if (active && depth <= brownout_exit_) {
-      brownout_.store(false, std::memory_order_relaxed);
-      active = false;
-    } else if (!active && depth >= brownout_enter_) {
-      if (!brownout_.exchange(true, std::memory_order_relaxed)) {
-        stats_.brownout_entries.fetch_add(1, std::memory_order_relaxed);
-      }
-      active = true;
+  const std::size_t in_flight = in_flight_now();
+  bool active = brownout_.load(std::memory_order_relaxed);
+  if (active && in_flight <= brownout_exit_) {
+    brownout_.store(false, std::memory_order_relaxed);
+    active = false;
+  } else if (!active && in_flight >= brownout_enter_) {
+    if (!brownout_.exchange(true, std::memory_order_relaxed)) {
+      stats_.brownout_entries.fetch_add(1, std::memory_order_relaxed);
     }
-    if (active) {
-      const std::string key = canonical_cache_key(pending.request);
-      if (auto value = cache_.lookup(key); value != nullptr) {
-        // Hits stay cheap even in brown-out: answer inline, no queueing.
-        Response response;
-        response.id = pending.request.id;
-        response.status = core::Status::ok();
-        response.cache = CacheSource::kHit;
-        response.result_json = *value;
-        stats_.accepted.fetch_add(1, std::memory_order_relaxed);
-        stats_.completed.fetch_add(1, std::memory_order_relaxed);
-        stats_.brownout_hits.fetch_add(1, std::memory_order_relaxed);
-        note_progress();
-        pending.done(std::move(response));
-        return core::Status::ok();
-      }
-      stats_.brownout_shed.fetch_add(1, std::memory_order_relaxed);
-      return core::Status::brownout(
-          "shard in brown-out (" + std::to_string(depth) +
-          " in flight): shedding cache-miss work, hits still served; "
-          "retry after " + format_double(config_.brownout_retry_after_ms) +
-          " ms");
+    active = true;
+  }
+  if (active) {
+    const std::string key = canonical_cache_key(pending.request);
+    if (auto value = cache_.lookup(key); value != nullptr) {
+      // Hits stay cheap even in brown-out: answer inline, no queueing.
+      Response response;
+      response.id = pending.request.id;
+      response.status = core::Status::ok();
+      response.cache = CacheSource::kHit;
+      response.result_json = *value;
+      stats_.accepted.fetch_add(1, std::memory_order_relaxed);
+      stats_.completed.fetch_add(1, std::memory_order_relaxed);
+      stats_.brownout_hits.fetch_add(1, std::memory_order_relaxed);
+      note_progress();
+      pending.done(std::move(response));
+      return core::Status::ok();
     }
+    stats_.brownout_shed.fetch_add(1, std::memory_order_relaxed);
+    return core::Status::brownout(
+        "shard in brown-out (" + std::to_string(in_flight) +
+        " in flight): shedding cache-miss work, hits still served; "
+        "retry after " + format_double(kBrownoutRetryAfterMs) + " ms");
   }
   {
     std::lock_guard<std::mutex> lock(mutex_);

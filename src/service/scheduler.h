@@ -58,19 +58,14 @@ struct SchedulerConfig {
   std::size_t cache_capacity = 256;
   std::size_t batch_max = 16;      // max requests drained per dispatch
 
-  // Brown-out: graceful degradation under SUSTAINED overload, watermarked
-  // on in-flight depth (accepted - completed: queue + pool queue +
-  // executing). Crossing brownout_enter puts the shard in brown-out:
-  // cache-MISS analysis work is shed with a typed kBrownout rejection
-  // (carrying a retry-after hint), while cache HITS are answered inline
-  // from submit() and the control plane stays untouched. The mode is
-  // self-draining — no new misses are admitted, so depth falls — and
-  // clears once depth reaches brownout_exit. 0 = derive from max_queue
-  // (enter: 3/4 * max_queue, exit: 1/4 * max_queue).
-  bool brownout_enabled = true;
-  std::size_t brownout_enter = 0;
-  std::size_t brownout_exit = 0;
-  double brownout_retry_after_ms = 50.0;
+  // Brown-out (always on): graceful degradation under SUSTAINED overload,
+  // watermarked on in-flight depth (accepted - completed: queue + pool
+  // queue + executing). Reaching 3/4 of max_queue (at least 1) puts the
+  // shard in brown-out: cache-MISS analysis work is shed with a typed
+  // kBrownout rejection (carrying a 50 ms retry-after hint), while cache
+  // HITS are answered inline from submit() and the control plane stays
+  // untouched. The mode is self-draining — no new misses are admitted, so
+  // depth falls — and clears once depth falls to max_queue / 4.
 
   // Watchdog: a shard with in-flight work but no completion progress for
   // longer than this is reported stuck in stats (a starved/wedged shard
@@ -155,8 +150,8 @@ class AnalysisScheduler {
   std::size_t in_flight_now() const;
 
   const SchedulerConfig config_;
-  std::size_t brownout_enter_ = 0;  // resolved thresholds (see config)
-  std::size_t brownout_exit_ = 0;
+  const std::size_t brownout_enter_;  // thresholds (see SchedulerConfig)
+  const std::size_t brownout_exit_;
   ResultCache cache_;
   sim::ThreadPool pool_;
 

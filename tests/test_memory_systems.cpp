@@ -421,5 +421,132 @@ TEST(DuplexScrubReplay, MatchesAReplayFreeOracleOnRandomTrials) {
   }
 }
 
+// ---- the batched read surface (one shape for both arrangements) ----------
+
+// One policy per degradation rung; each rung makes the batched read refuse.
+std::vector<DegradationPolicy> one_rung_policies() {
+  std::vector<DegradationPolicy> policies(4);
+  policies[0].retry_with_detection = true;
+  policies[1].erasure_only_fallback = true;
+  policies[1].bank_symbols = 3;
+  policies[2].demote_on_dead_module = true;
+  policies[3].retire_after_failures = 2;
+  return policies;
+}
+
+template <typename System, typename Config>
+void expect_batched_read_refused() {
+  constexpr unsigned kN = 18;
+  std::vector<Element> words(System::kPlaneWords * kN);
+  std::vector<std::uint8_t> flags(words.size());
+  const std::vector<rs::DecodeOutcome> outcomes(System::kPlaneWords);
+  const System unstored{Config{}};
+  EXPECT_FALSE(unstored.supports_batched_read());
+  EXPECT_THROW(unstored.read_into_plane(words, flags), std::logic_error);
+  EXPECT_THROW(unstored.finish_batched_read(words, outcomes),
+               std::logic_error);
+  for (const DegradationPolicy& policy : one_rung_policies()) {
+    Config cfg;
+    cfg.degradation = policy;
+    System sys{cfg};
+    sys.store(test_data());
+    EXPECT_FALSE(sys.supports_batched_read());
+    EXPECT_THROW(sys.read_into_plane(words, flags), std::logic_error);
+    EXPECT_THROW(sys.finish_batched_read(words, outcomes), std::logic_error);
+  }
+}
+
+TEST(BatchedRead, SimplexRefusesBeforeStoreAndUnderEveryRung) {
+  expect_batched_read_refused<SimplexSystem, SimplexSystemConfig>();
+}
+
+TEST(BatchedRead, DuplexRefusesBeforeStoreAndUnderEveryRung) {
+  expect_batched_read_refused<DuplexSystem, DuplexSystemConfig>();
+}
+
+TEST(BatchedRead, DuplexFinishNeedsTheGatherJustBeforeIt) {
+  DuplexSystem sys{DuplexSystemConfig{}};
+  sys.store(test_data());
+  const unsigned n = sys.code().n();
+  std::vector<Element> words(DuplexSystem::kPlaneWords * n);
+  std::vector<std::uint8_t> flags(words.size());
+  std::vector<rs::DecodeOutcome> outcomes(DuplexSystem::kPlaneWords);
+  rs::DecoderWorkspace ws;
+  const auto gather_and_decode = [&] {
+    sys.read_into_plane(words, flags);
+    sys.code().decode_batch(ws, words, outcomes, flags);
+  };
+  EXPECT_THROW(sys.finish_batched_read(words, outcomes), std::logic_error);
+  gather_and_decode();
+  EXPECT_TRUE(sys.finish_batched_read(words, outcomes).read.data_correct);
+  // Each gather serves one finish.
+  EXPECT_THROW(sys.finish_batched_read(words, outcomes), std::logic_error);
+  // A read or an advance between the two calls discards the gather.
+  gather_and_decode();
+  sys.read();
+  EXPECT_THROW(sys.finish_batched_read(words, outcomes), std::logic_error);
+  gather_and_decode();
+  sys.advance_to(1.0);
+  EXPECT_THROW(sys.finish_batched_read(words, outcomes), std::logic_error);
+}
+
+// Gather, one decode_batch over the slot, finish: the same result as read()
+// on the same state, for both arrangements.
+template <typename System, typename Config>
+void expect_split_read_matches_read() {
+  Config cfg;
+  cfg.rates.seu_rate_per_bit_hour = 2e-3;
+  cfg.rates.perm_rate_per_symbol_hour = 5e-3;
+  rs::DecoderWorkspace ws;
+  unsigned failures = 0;
+  for (std::uint64_t seed = 1; seed <= 200; ++seed) {
+    cfg.seed = seed;
+    System sys{cfg};
+    sys.store(test_data());
+    sys.advance_to(48.0);
+    const auto expected = sys.read();
+    std::vector<Element> words(System::kPlaneWords * sys.code().n());
+    std::vector<std::uint8_t> flags(words.size());
+    std::vector<rs::DecodeOutcome> outcomes(System::kPlaneWords);
+    sys.read_into_plane(words, flags);
+    sys.code().decode_batch(ws, words, outcomes, flags);
+    const auto got = sys.finish_batched_read(words, outcomes);
+    if constexpr (System::kPlaneWords == 1) {
+      EXPECT_EQ(got.success, expected.success) << seed;
+      EXPECT_EQ(got.data, expected.data) << seed;
+      EXPECT_EQ(got.data_correct, expected.data_correct) << seed;
+      EXPECT_EQ(got.outcome.status, expected.outcome.status) << seed;
+      EXPECT_EQ(got.outcome.errors_corrected,
+                expected.outcome.errors_corrected) << seed;
+      failures += !expected.success;
+    } else {
+      EXPECT_EQ(got.read.success, expected.read.success) << seed;
+      EXPECT_EQ(got.read.data, expected.read.data) << seed;
+      EXPECT_EQ(got.read.data_correct, expected.read.data_correct) << seed;
+      EXPECT_EQ(got.arbitration.decision, expected.arbitration.decision)
+          << seed;
+      EXPECT_EQ(got.arbitration.output, expected.arbitration.output) << seed;
+      EXPECT_EQ(got.arbitration.common_erasures,
+                expected.arbitration.common_erasures) << seed;
+      EXPECT_EQ(got.arbitration.masked_erasures,
+                expected.arbitration.masked_erasures) << seed;
+      EXPECT_EQ(got.arbitration.outcome2.status,
+                expected.arbitration.outcome2.status) << seed;
+      EXPECT_EQ(got.degraded, expected.degraded) << seed;
+      failures += !expected.read.success;
+    }
+  }
+  // The rates reach failing reads too, not only clean ones.
+  EXPECT_GT(failures, 0u);
+}
+
+TEST(BatchedRead, SimplexSplitReadMatchesRead) {
+  expect_split_read_matches_read<SimplexSystem, SimplexSystemConfig>();
+}
+
+TEST(BatchedRead, DuplexSplitReadMatchesRead) {
+  expect_split_read_matches_read<DuplexSystem, DuplexSystemConfig>();
+}
+
 }  // namespace
 }  // namespace rsmem::memory

@@ -295,22 +295,21 @@ markov::Ctmc small_chain() {
 }
 
 TEST(SolverGuard, DistributionChecks) {
-  markov::SolverGuardConfig cfg;
   const std::vector<double> good = {0.25, 0.5, 0.25};
-  EXPECT_EQ(markov::check_distribution(good, 1.0, cfg),
+  EXPECT_EQ(markov::check_distribution(good, 1.0),
             markov::GuardTrip::kNone);
   const std::vector<double> nan_dist = {0.5, std::nan(""), 0.0};
-  EXPECT_EQ(markov::check_distribution(nan_dist, 1.0, cfg),
+  EXPECT_EQ(markov::check_distribution(nan_dist, 1.0),
             markov::GuardTrip::kNonFinite);
   const std::vector<double> negative = {1.1, -0.1, 0.0};
-  EXPECT_EQ(markov::check_distribution(negative, 1.0, cfg),
+  EXPECT_EQ(markov::check_distribution(negative, 1.0),
             markov::GuardTrip::kNegativeMass);
   const std::vector<double> drifted = {0.6, 0.6, 0.0};
-  EXPECT_EQ(markov::check_distribution(drifted, 1.0, cfg),
+  EXPECT_EQ(markov::check_distribution(drifted, 1.0),
             markov::GuardTrip::kMassDrift);
   // Sub-distributions conserve THEIR OWN mass (absorption-style solves).
   const std::vector<double> sub = {0.2, 0.3, 0.0};
-  EXPECT_EQ(markov::check_distribution(sub, 0.5, cfg),
+  EXPECT_EQ(markov::check_distribution(sub, 0.5),
             markov::GuardTrip::kNone);
 }
 

@@ -1,5 +1,5 @@
 // Resilience battery for chaos-hardened rsmem-serve (ctest label `chaos`;
-// tools/run_sanitizers.sh runs it under ASan and both TSan queue builds):
+// tools/run_sanitizers.sh runs it under ASan and TSan):
 //   * RetryPolicy/Backoff: deterministic decorrelated-jitter schedules,
 //     typed retry exhaustion, deadline-budget enforcement;
 //   * hedged attempts: the hedge lane wins when the primary goes silent,
@@ -28,6 +28,7 @@
 #include <memory>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "service/chaos.h"
@@ -46,6 +47,19 @@ Endpoint chaos_test_endpoint(const char* tag) {
   return Endpoint::unix_socket("/tmp/rsmem-chaos-test-" + std::string(tag) +
                                "-" + std::to_string(::getpid()) + ".sock");
 }
+
+// Removes a socket file at scope exit, so a failed ASSERT that returns
+// early still leaves nothing behind in /tmp.
+class UnlinkAtExit {
+ public:
+  explicit UnlinkAtExit(std::string path) : path_(std::move(path)) {}
+  UnlinkAtExit(const UnlinkAtExit&) = delete;
+  UnlinkAtExit& operator=(const UnlinkAtExit&) = delete;
+  ~UnlinkAtExit() { ::unlink(path_.c_str()); }
+
+ private:
+  std::string path_;
+};
 
 Request ping_request() {
   Request request;
@@ -212,6 +226,8 @@ TEST(ChaosTransport, AcceptFailuresAreRetriedToSuccess) {
 
 TEST(ResilientClientHedging, HedgeLaneWinsWhenPrimaryIsSilent) {
   const Endpoint endpoint = chaos_test_endpoint("hedge");
+  // Runs after the ::close(listen_fd) below: nothing else removes the path.
+  const UnlinkAtExit unlink_socket{endpoint.path};
   auto listening = listen_on(endpoint, 4);
   ASSERT_TRUE(listening.ok()) << listening.status().to_string();
   const int listen_fd = listening.value();

@@ -1,5 +1,5 @@
 // Tests for the simulation substrate: RNG determinism and distribution
-// sanity, the event queue, and the Poisson process helper.
+// sanity, and the event queue with its tick.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -14,7 +14,6 @@
 #include <vector>
 
 #include "sim/event_queue.h"
-#include "sim/poisson.h"
 #include "sim/rng.h"
 
 namespace rsmem::sim {
@@ -607,34 +606,6 @@ TEST(EventQueueTick, ReturningAPastTimeThrowsAndStopsTheTick) {
   q.set_tick(2.0, [&] { return q.now() - 1.0; });
   EXPECT_THROW(q.run_until(3.0), std::invalid_argument);
   EXPECT_TRUE(q.empty());
-}
-
-TEST(PoissonProcess, ZeroRateNeverFires) {
-  PoissonProcess p{0.0, Rng{1}};
-  EXPECT_TRUE(std::isinf(p.next_after(0.0)));
-  EXPECT_TRUE(p.arrivals_in(0.0, 100.0).empty());
-}
-
-TEST(PoissonProcess, RejectsNegativeRate) {
-  EXPECT_THROW(PoissonProcess(-1.0, Rng{1}), std::invalid_argument);
-}
-
-TEST(PoissonProcess, ArrivalCountMatchesRate) {
-  PoissonProcess p{5.0, Rng{77}};
-  const auto arrivals = p.arrivals_in(0.0, 2000.0);
-  // Expect ~10000 arrivals, sd = 100.
-  EXPECT_NEAR(static_cast<double>(arrivals.size()), 10000.0, 500.0);
-  for (std::size_t i = 1; i < arrivals.size(); ++i) {
-    EXPECT_GT(arrivals[i], arrivals[i - 1]);
-  }
-  EXPECT_GT(arrivals.front(), 0.0);
-  EXPECT_LE(arrivals.back(), 2000.0);
-}
-
-TEST(PoissonProcess, EmptyWindow) {
-  PoissonProcess p{5.0, Rng{78}};
-  EXPECT_TRUE(p.arrivals_in(10.0, 10.0).empty());
-  EXPECT_TRUE(p.arrivals_in(10.0, 5.0).empty());
 }
 
 }  // namespace

@@ -287,6 +287,77 @@ TEST(ChainCacheTest, DuplexReplayAndZeroPatternSeparation) {
   EXPECT_GT(wider->size(), cached->size());
 }
 
+TEST(ChainCacheTest, MemoEvictsItsOldestEntryPerArrangement) {
+  constexpr std::size_t kMax = models::ChainCache::kMaxMemo;
+  static_assert(kMax == 256);
+  models::ChainCache cache;
+  // A small code keeps the 2 * (kMax + 1) chains cheap; every rate point
+  // shares one zero-pattern, so each new point is a replay.
+  models::SimplexParams simplex;
+  simplex.n = 7;
+  simplex.k = 3;
+  simplex.m = 3;
+  models::DuplexParams duplex;
+  duplex.n = 7;
+  duplex.k = 3;
+  duplex.m = 3;
+  const auto at = [&](std::size_t i) {
+    simplex.seu_rate_per_bit_hour = 1e-6 * static_cast<double>(i + 1);
+    duplex.seu_rate_per_bit_hour = simplex.seu_rate_per_bit_hour;
+  };
+  for (std::size_t i = 0; i < kMax; ++i) {
+    at(i);
+    cache.simplex(simplex);
+  }
+  for (std::size_t i = 0; i < kMax; ++i) {
+    at(i);
+    cache.duplex(duplex);
+  }
+  models::ChainCache::Stats expected;
+  expected.builds = 2;
+  expected.replays = 2 * (kMax - 1);
+  const auto expect_stats = [&](const char* step) {
+    const models::ChainCache::Stats stats = cache.stats();
+    EXPECT_EQ(stats.builds, expected.builds) << step;
+    EXPECT_EQ(stats.replays, expected.replays) << step;
+    EXPECT_EQ(stats.exact_hits, expected.exact_hits) << step;
+    EXPECT_EQ(stats.replay_fallbacks, 0u) << step;
+  };
+  expect_stats("filled");
+  // A full duplex memo did not evict the first simplex entry, nor the
+  // reverse.
+  at(0);
+  cache.simplex(simplex);
+  cache.duplex(duplex);
+  expected.exact_hits += 2;
+  expect_stats("oldest entries still memoized");
+  // One more simplex point evicts the oldest simplex entry only.
+  at(kMax);
+  cache.simplex(simplex);
+  ++expected.replays;
+  at(0);
+  cache.duplex(duplex);
+  ++expected.exact_hits;
+  expect_stats("simplex eviction left the duplex memo alone");
+  cache.simplex(simplex);
+  ++expected.replays;
+  expect_stats("evicted simplex entry replays");
+  // The same for duplex.
+  at(kMax);
+  cache.duplex(duplex);
+  ++expected.replays;
+  at(0);
+  cache.duplex(duplex);
+  ++expected.replays;
+  expect_stats("evicted duplex entry replays");
+  // Re-inserting entry 0 evicted entry 1; entry 2 is still memoized.
+  at(2);
+  cache.simplex(simplex);
+  cache.duplex(duplex);
+  expected.exact_hits += 2;
+  expect_stats("entry 2 still memoized");
+}
+
 TEST(CodeSearch, ParallelEvaluationMatchesSerial) {
   CodeSearchSpec spec;
   spec.base.seu_rate_per_bit_day = 1.7e-5;
