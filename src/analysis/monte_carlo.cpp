@@ -1,6 +1,8 @@
 #include "analysis/monte_carlo.h"
 
+#include <algorithm>
 #include <cmath>
+#include <iterator>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -37,18 +39,6 @@ void check_config(const MonteCarloConfig& config, const std::string& who) {
   if (!std::isfinite(config.t_end_hours) || config.t_end_hours < 0.0) {
     throw std::invalid_argument(who + ": t_end_hours must be finite and >= 0");
   }
-}
-
-void fill_random_data(sim::Rng& rng, std::span<gf::Element> data, unsigned m) {
-  for (auto& d : data) {
-    d = static_cast<gf::Element>(rng.uniform_int(1u << m));
-  }
-}
-
-std::vector<gf::Element> random_data(sim::Rng& rng, unsigned k, unsigned m) {
-  std::vector<gf::Element> data(k);
-  fill_random_data(rng, data, m);
-  return data;
 }
 
 // A read that returns wrong data (an undetected mis-correction) is a
@@ -107,13 +97,35 @@ void fill_words(TrialRecord& record, const memory::DuplexSystem& sys,
             sys.damage(1));
 }
 
-// One trial's RNG streams are keyed by the GLOBAL trial index, never by the
-// shard, so shard layout cannot change any trial's fault history.
-sim::Rng trial_data_rng(const sim::Rng& root, std::size_t trial) {
-  return root.split(2 * trial);
-}
-std::uint64_t trial_system_seed(const sim::Rng& root, std::size_t trial) {
-  return root.split(2 * trial + 1).next_u64();
+// Trials whose streams are seeded together (sim::Rng::seed_lockstep): their
+// data and system-seed streams, eight 2.5 KB streams live at a time.
+constexpr std::size_t kSeedGroup = 4;
+
+// Draws the datawords (`data`, k symbols per trial in trial order) and the
+// system seeds (`seeds`, one per trial) of trials [base, base +
+// seeds.size()), at most kSeedGroup of them. Trial t draws its data from
+// root.split(2t) and its seed from root.split(2t + 1): streams keyed by the
+// GLOBAL trial index, never by the shard, so shard layout cannot change any
+// trial's fault history. Seeding the streams together first changes no
+// draw.
+void draw_trial_inputs(const sim::Rng& root, std::size_t base, unsigned m,
+                       std::span<gf::Element> data,
+                       std::span<std::uint64_t> seeds) {
+  const std::size_t count = seeds.size();
+  const std::size_t k = data.size() / count;
+  // Copies of root, which never draws, so a copy moves no state word.
+  sim::Rng streams[] = {root, root, root, root, root, root, root, root};
+  static_assert(std::size(streams) == 2 * kSeedGroup);
+  sim::Rng* group[2 * kSeedGroup];
+  for (std::size_t j = 0; j < 2 * count; ++j) {
+    streams[j] = root.split(2 * base + j);
+    group[j] = &streams[j];
+  }
+  sim::Rng::seed_lockstep(std::span<sim::Rng* const>(group, 2 * count));
+  for (std::size_t i = 0; i < count; ++i) {
+    streams[2 * i].uniform_ints(std::uint64_t{1} << m, data.subspan(i * k, k));
+    seeds[i] = streams[2 * i + 1].next_u64();
+  }
 }
 
 // The campaign's one codec (the system's shared codec when it brings one):
@@ -235,6 +247,7 @@ MonteCarloResult run_trials(const SystemConfig& system,
   const std::size_t batch = resolve_batch_width(config, system.degradation);
   const unsigned n = system.code.n;
   const unsigned k = system.code.k;
+  const unsigned m = system.code.m;
   constexpr unsigned kWords = System::kPlaneWords;
   const std::size_t slot = kWords * n;  // plane symbols one trial reads
   const auto chunk = [&](std::size_t first, std::size_t last,
@@ -244,14 +257,21 @@ MonteCarloResult run_trials(const SystemConfig& system,
     // trials allocate no codec scratch at all. Per-word decodes inside the
     // systems use the codec's own per-thread workspace.
     thread_local rs::DecoderWorkspace ws;
-    const std::shared_ptr<const rs::ReedSolomon> code =
-        chunk_code(shared_code);
-    // Constructs one trial's system (no data stored yet).
-    const auto build_system = [&](std::size_t trial) {
-      SystemConfig cfg = system;
-      cfg.seed = trial_system_seed(root, trial);
-      cfg.shared_code = code;
-      return std::make_unique<System>(cfg);
+    SystemConfig cfg = system;
+    cfg.shared_code = chunk_code(shared_code);
+    // The chunk's systems, one per batch slot (one in the per-trial arm):
+    // built for the first trial a slot runs and reset for every later one,
+    // which gives the state a new system with that seed would have.
+    std::vector<std::unique_ptr<System>> systems;
+    const auto system_for = [&](std::size_t index,
+                                std::uint64_t seed) -> System& {
+      if (index < systems.size()) {
+        systems[index]->reset(seed);
+      } else {
+        cfg.seed = seed;
+        systems.push_back(std::make_unique<System>(cfg));
+      }
+      return *systems[index];
     };
     const auto finish_trial = [&](std::size_t trial, const System& sys,
                                   const auto& result) {
@@ -268,15 +288,23 @@ MonteCarloResult run_trials(const SystemConfig& system,
         config.observer(record);
       }
     };
+    std::uint64_t seeds[kSeedGroup];
     if (batch <= 1) {
       // The per-trial read() path: every degradation rung takes it.
-      for (std::size_t trial = first; trial < last; ++trial) {
-        sim::Rng data_rng = trial_data_rng(root, trial);
-        const std::unique_ptr<System> sys = build_system(trial);
-        sys->store(random_data(data_rng, k, system.code.m));
-        sys->advance_to(config.t_end_hours);
-        finish_trial(trial, *sys, sys->read());
-      }
+      std::vector<gf::Element> data(kSeedGroup * k);
+      const std::span<gf::Element> data_span{data};
+      for_each_batch(first, last, kSeedGroup, [&](std::size_t base,
+                                                  std::size_t stop) {
+        const std::size_t count = stop - base;
+        draw_trial_inputs(root, base, m, data_span.first(count * k),
+                          std::span(seeds, count));
+        for (std::size_t i = 0; i < count; ++i) {
+          System& sys = system_for(0, seeds[i]);
+          sys.store(data_span.subspan(i * k, k));
+          sys.advance_to(config.t_end_hours);
+          finish_trial(base + i, sys, sys.read());
+        }
+      });
       return;
     }
     // Batched gather/encode/decode/scatter: generate the batch's datawords
@@ -286,10 +314,8 @@ MonteCarloResult run_trials(const SystemConfig& system,
     // kWords words into its slot of one word/flag plane, decode the plane
     // with a single decode_batch call (clean unflagged words exit via the
     // plane-wide syndrome screen), then hand each system its decoded slot.
-    // Systems are built in ascending trial order (RNG keying is by global
-    // index) and outcomes are counted in the same order as the per-trial
+    // Outcomes are counted in ascending trial order, as in the per-trial
     // loop above.
-    std::vector<std::unique_ptr<System>> systems;
     gf::AlignedVector<gf::Element> data_plane;
     gf::AlignedVector<gf::Element> plane;
     gf::AlignedVector<std::uint8_t> flags;
@@ -297,8 +323,6 @@ MonteCarloResult run_trials(const SystemConfig& system,
     for_each_batch(first, last, batch, [&](std::size_t base,
                                            std::size_t stop) {
       const std::size_t count = stop - base;
-      systems.clear();
-      systems.reserve(count);
       data_plane.resize(count * k);
       plane.resize(count * slot);
       flags.resize(count * slot);
@@ -307,11 +331,14 @@ MonteCarloResult run_trials(const SystemConfig& system,
       const std::span<gf::Element> plane_span{plane};
       const std::span<std::uint8_t> flag_span{flags};
       const std::span<const rs::DecodeOutcome> outcome_span{outcomes};
-      for (std::size_t i = 0; i < count; ++i) {
-        sim::Rng data_rng = trial_data_rng(root, base + i);
-        fill_random_data(data_rng, data_span.subspan(i * k, k),
-                         system.code.m);
-        systems.push_back(build_system(base + i));
+      for (std::size_t group = 0; group < count; group += kSeedGroup) {
+        const std::size_t size = std::min(kSeedGroup, count - group);
+        draw_trial_inputs(root, base + group, m,
+                          data_span.subspan(group * k, size * k),
+                          std::span(seeds, size));
+        for (std::size_t i = 0; i < size; ++i) {
+          system_for(group + i, seeds[i]);
+        }
       }
       // The codewords borrow the first count*n symbols of the read plane:
       // store_encoded copies each one before any fault arrives, and the

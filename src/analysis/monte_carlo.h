@@ -125,8 +125,11 @@ struct MonteCarloAccumulator {
 // t=0, advance to t_end, read once (the paper's "stopping time" semantics).
 // A read that returns wrong data (an undetected mis-correction) counts as a
 // failure, as the Markov chains count any unrecoverable pattern as Fail.
-// Both arrangements run one campaign body. Optionally reports campaign
-// throughput / live progress.
+// Both arrangements run one campaign body. A system lives for a whole
+// chunk, one per batch slot (one on the per-trial path): each later trial
+// the slot runs reset()s it to that trial's seed, which gives the state a
+// new system would have, so no trial builds or frees one. Optionally
+// reports campaign throughput / live progress.
 MonteCarloResult run_simplex_trials(const memory::SimplexSystemConfig& system,
                                     const MonteCarloConfig& config,
                                     CampaignReport* report = nullptr,

@@ -5,12 +5,16 @@
 
 namespace rsmem::memory {
 
+// The injectors and scrubber start on placeholder streams; reset() seeds
+// them.
 DuplexSystem::DuplexSystem(const DuplexSystemConfig& config)
     : config_(config),
       code_(resolve_code(config.shared_code, config.code, "DuplexSystem")),
       arbiter_(*code_),
       module1_(config.code.n, config.code.m),
       module2_(config.code.n, config.code.m),
+      injector1_(config.rates, sim::Rng{0}, queue_, module1_),
+      injector2_(config.rates, sim::Rng{0}, queue_, module2_),
       word1_scratch_(config.code.n, 0),
       word2_scratch_(config.code.n, 0),
       flags1_scratch_(config.code.n, 0),
@@ -19,15 +23,36 @@ DuplexSystem::DuplexSystem(const DuplexSystemConfig& config)
   erasures2_scratch_.reserve(config.code.n);
   arbitration_.output.reserve(config.code.n);
   arbitration_.common_erasures.reserve(config.code.n);
-  const sim::Rng root{config.seed};
-  injector1_ = std::make_unique<FaultInjector>(config.rates, root.split(1),
-                                               queue_, module1_);
-  injector2_ = std::make_unique<FaultInjector>(config.rates, root.split(2),
-                                               queue_, module2_);
   if (config.scrub_policy != ScrubPolicy::kNone) {
     scrubber_.emplace(config.scrub_policy, config.scrub_period_hours,
-                      root.split(3));
+                      sim::Rng{0});
   }
+  reset(config.seed);
+}
+
+// arbitration_ is left as it is: every read refills it before use, and
+// gathered_ = false makes finish_batched_read refuse the old one.
+void DuplexSystem::reset(std::uint64_t seed) {
+  const sim::Rng root{seed};
+  queue_.reset();
+  module1_.reset();
+  module2_.reset();
+  injector1_.reset(root.split(1));
+  injector2_.reset(root.split(2));
+  if (scrubber_) scrubber_->reset(root.split(3));
+  stored_data_.clear();
+  stored_codeword_.clear();
+  stored_ = false;
+  stats_ = SystemStats{};
+  gathered_ = false;
+  last_scrub_ = ScrubVerdict::kNone;
+  last_scrub_gen1_ = 0;
+  last_scrub_gen2_ = 0;
+  scrub_suspended_ = false;
+  degradation_ = DegradationCounters{};
+  consecutive_failures_ = 0;
+  dead_module_ = -1;
+  retired_ = false;
 }
 
 void DuplexSystem::store(std::span<const Element> data) {
@@ -58,8 +83,8 @@ void DuplexSystem::commit_store() {
   module1_.write(stored_codeword_);
   module2_.write(stored_codeword_);
   stored_ = true;
-  injector1_->start();
-  injector2_->start();
+  injector1_.start();
+  injector2_.start();
   if (scrubber_) scrubber_->arm(queue_, [this] { scrub(); });
 }
 
@@ -267,10 +292,9 @@ void DuplexSystem::advance_to(double t_hours) {
   }
   gathered_ = false;
   queue_.run_until(t_hours);
-  stats_.seu_injected =
-      injector1_->seu_injected() + injector2_->seu_injected();
+  stats_.seu_injected = injector1_.seu_injected() + injector2_.seu_injected();
   stats_.permanent_injected =
-      injector1_->permanent_injected() + injector2_->permanent_injected();
+      injector1_.permanent_injected() + injector2_.permanent_injected();
 }
 
 DuplexReadResult DuplexSystem::read() const {

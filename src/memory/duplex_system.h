@@ -59,6 +59,12 @@ class DuplexSystem {
  public:
   explicit DuplexSystem(const DuplexSystemConfig& config);
 
+  // Starts a new life with `seed` in place of config.seed, as
+  // SimplexSystem::reset does, for both modules and injectors; it also
+  // clears the scrub replay record, any pending gather and a demotion. The
+  // constructor calls it, so per-trial state is set here and only here.
+  void reset(std::uint64_t seed);
+
   const rs::ReedSolomon& code() const { return *code_; }
   double now_hours() const { return queue_.now(); }
   const SystemStats& stats() const { return stats_; }
@@ -156,8 +162,8 @@ class DuplexSystem {
   // modules' self-tests (controller-visible device state).
   mutable MemoryModule module1_;
   mutable MemoryModule module2_;
-  std::unique_ptr<FaultInjector> injector1_;
-  std::unique_ptr<FaultInjector> injector2_;
+  FaultInjector injector1_;
+  FaultInjector injector2_;
   std::optional<Scrubber> scrubber_;
   std::vector<Element> stored_data_;
   std::vector<Element> stored_codeword_;

@@ -32,14 +32,22 @@ FaultInjector::FaultInjector(const FaultRates& rates, sim::Rng rng,
     throw std::invalid_argument(
         "FaultInjector: perm_weibull_shape must be finite and positive");
   }
-  if (rates.perm_weibull_shape != 1.0 &&
-      rates.perm_rate_per_symbol_hour > 0.0) {
+  reset(rng);
+}
+
+void FaultInjector::reset(sim::Rng rng) {
+  rng_ = rng;
+  started_ = false;
+  seu_injected_ = 0;
+  permanent_injected_ = 0;
+  if (rates_.perm_weibull_shape != 1.0 &&
+      rates_.perm_rate_per_symbol_hour > 0.0) {
     // Module-total wearout process: n symbols, each with per-symbol
     // cumulative hazard (rate*t)^beta; the superposition is Weibull with
     // scale eta' = (1/rate) * n^(-1/beta).
-    const double beta = rates.perm_weibull_shape;
-    const double eta = 1.0 / rates.perm_rate_per_symbol_hour *
-                       std::pow(static_cast<double>(module.n()), -1.0 / beta);
+    const double beta = rates_.perm_weibull_shape;
+    const double eta = 1.0 / rates_.perm_rate_per_symbol_hour *
+                       std::pow(static_cast<double>(module_.n()), -1.0 / beta);
     wearout_.emplace(beta, eta, rng_.split(0x57EA));
   }
 }

@@ -59,6 +59,12 @@ class FaultInjector {
   // Starts the arrival streams (idempotent).
   void start();
 
+  // Returns the injector to the state its constructor gives for `rng`: not
+  // started, no faults counted, the wearout process rebuilt from the new
+  // stream. The owner resets the queue, whose pending arrivals belong to
+  // the old streams.
+  void reset(sim::Rng rng);
+
   unsigned seu_injected() const { return seu_injected_; }
   unsigned permanent_injected() const { return permanent_injected_; }
 

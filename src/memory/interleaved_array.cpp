@@ -40,9 +40,7 @@ InterleavedTrialResult run_interleaved_trial(
   std::vector<std::vector<gf::Element>> stored(config.depth);
   for (unsigned w = 0; w < config.depth; ++w) {
     std::vector<gf::Element> data(config.code.k);
-    for (auto& d : data) {
-      d = static_cast<gf::Element>(rng.uniform_int(1u << config.code.m));
-    }
+    rng.uniform_ints(1u << config.code.m, data);
     truth[w] = code.encode(data);
     stored[w] = truth[w];
   }

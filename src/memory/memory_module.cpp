@@ -1,5 +1,6 @@
 #include "memory/memory_module.h"
 
+#include <algorithm>
 #include <stdexcept>
 
 namespace rsmem::memory {
@@ -26,7 +27,25 @@ void MemoryModule::write(std::span<const Element> symbols) {
   if (symbols.size() != n_) {
     throw std::invalid_argument("MemoryModule::write: size mismatch");
   }
-  for (unsigned i = 0; i < n_; ++i) write_symbol(i, symbols[i]);
+  Element wide = 0;
+  for (const Element value : symbols) wide |= value;
+  if (wide >> m_) {
+    throw std::invalid_argument("MemoryModule::write: value too wide");
+  }
+  std::uint64_t changed = 0;
+  for (unsigned i = 0; i < n_; ++i) {
+    changed += value_[i] != symbols[i];
+    value_[i] = symbols[i];
+  }
+  generation_ += changed;
+}
+
+void MemoryModule::reset() {
+  std::fill(value_.begin(), value_.end(), 0);
+  std::fill(stuck_mask_.begin(), stuck_mask_.end(), 0);
+  std::fill(stuck_level_.begin(), stuck_level_.end(), 0);
+  std::fill(detected_mask_.begin(), detected_mask_.end(), 0);
+  generation_ = 0;
 }
 
 void MemoryModule::write_symbol(unsigned symbol, Element value) {

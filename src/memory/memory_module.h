@@ -30,11 +30,17 @@ class MemoryModule {
   unsigned m() const { return m_; }
 
   // Writes symbol values. Stuck bits keep their stuck level regardless of
-  // the written value. Throws std::invalid_argument on size/value mismatch.
-  // A write that leaves a symbol's stored value unchanged is not a state
-  // change (the generation stays put).
+  // the written value. Throws std::invalid_argument on size/value mismatch;
+  // a word with a value too wide for m bits is rejected whole, before any
+  // symbol is written. A write that leaves a symbol's stored value
+  // unchanged is not a state change (the generation stays put); write()
+  // advances the generation once per symbol it changes.
   void write(std::span<const Element> symbols);
   void write_symbol(unsigned symbol, Element value);
+
+  // Returns the module to its constructed state (every cell 0, no stuck
+  // bit, generation 0), keeping its buffers.
+  void reset();
 
   // Reads all symbols, with stuck bits masked in.
   std::vector<Element> read() const;
@@ -79,7 +85,8 @@ class MemoryModule {
   unsigned stuck_bit_count() const;
 
   // Advances on every state change: flip_bit, stick_bit, detect_all_faults
-  // and any write_symbol that changes a stored value. An owner that kept
+  // and each symbol a write or write_symbol changes; reset() returns it to
+  // 0 with the rest of the module. An owner that kept
   // the generation of its last read can tell, without re-reading, that the
   // module still reads back exactly the same values and erasure flags.
   std::uint64_t generation() const { return generation_; }

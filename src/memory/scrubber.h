@@ -40,6 +40,13 @@ class Scrubber {
   // Time of the first scrub after `now`; +infinity when disabled.
   double next_after(double now);
 
+  // Re-seeds the schedule's jitter stream, as a new Scrubber on `rng`. The
+  // owner resets the queue, whose tick holds this scrubber's old schedule.
+  void reset(sim::Rng rng) {
+    rng_ = rng;
+    due_ = 0.0;
+  }
+
   // Arms `queue`'s tick with this schedule: `pass` runs at every scrub time
   // after the queue's now. The tick runs at the time it last returned, so
   // `due_` is the queue's clock when the next time is drawn. Does nothing

@@ -18,19 +18,36 @@ std::shared_ptr<const rs::ReedSolomon> resolve_code(
   return shared;
 }
 
+// The injector and scrubber start on placeholder streams; reset() seeds
+// them.
 SimplexSystem::SimplexSystem(const SimplexSystemConfig& config)
     : config_(config),
       code_(resolve_code(config.shared_code, config.code, "SimplexSystem")),
       module_(config.code.n, config.code.m),
+      injector_(config.rates, sim::Rng{0}, queue_, module_),
       word_scratch_(config.code.n, 0) {
   erasure_scratch_.reserve(config.code.n);
-  const sim::Rng root{config.seed};
-  injector_ = std::make_unique<FaultInjector>(config.rates, root.split(1),
-                                              queue_, module_);
   if (config.scrub_policy != ScrubPolicy::kNone) {
     scrubber_.emplace(config.scrub_policy, config.scrub_period_hours,
-                      root.split(2));
+                      sim::Rng{0});
   }
+  reset(config.seed);
+}
+
+void SimplexSystem::reset(std::uint64_t seed) {
+  const sim::Rng root{seed};
+  queue_.reset();
+  module_.reset();
+  injector_.reset(root.split(1));
+  if (scrubber_) scrubber_->reset(root.split(2));
+  stored_data_.clear();
+  stored_codeword_.clear();
+  stored_ = false;
+  stats_ = SystemStats{};
+  scrub_suspended_ = false;
+  degradation_ = DegradationCounters{};
+  consecutive_failures_ = 0;
+  retired_ = false;
 }
 
 void SimplexSystem::store(std::span<const Element> data) {
@@ -60,7 +77,7 @@ void SimplexSystem::store_encoded(std::span<const Element> data,
 void SimplexSystem::commit_store() {
   module_.write(stored_codeword_);
   stored_ = true;
-  injector_->start();
+  injector_.start();
   if (scrubber_) scrubber_->arm(queue_, [this] { scrub(); });
 }
 
@@ -101,8 +118,8 @@ void SimplexSystem::advance_to(double t_hours) {
     throw std::logic_error("SimplexSystem::advance_to: nothing stored");
   }
   queue_.run_until(t_hours);
-  stats_.seu_injected = injector_->seu_injected();
-  stats_.permanent_injected = injector_->permanent_injected();
+  stats_.seu_injected = injector_.seu_injected();
+  stats_.permanent_injected = injector_.permanent_injected();
 }
 
 rs::DecodeOutcome SimplexSystem::decode_with_recovery(

@@ -80,6 +80,15 @@ class SimplexSystem {
  public:
   explicit SimplexSystem(const SimplexSystemConfig& config);
 
+  // Starts a new life with `seed` in place of config.seed: the state the
+  // constructor gives for that seed (module cells and generation at 0, no
+  // pending event or armed scrub tick, fault and scrub streams re-seeded,
+  // nothing stored, stats and degradation state cleared, scrubbing
+  // resumed), keeping every buffer. A campaign reuses one system per slot
+  // this way instead of building one per trial. The constructor calls it,
+  // so per-trial state is set here and only here.
+  void reset(std::uint64_t seed);
+
   const rs::ReedSolomon& code() const { return *code_; }
   double now_hours() const { return queue_.now(); }
   const SystemStats& stats() const { return stats_; }
@@ -169,7 +178,7 @@ class SimplexSystem {
   // module's self-test (detect_all_faults), which is controller-visible
   // device state, not simulation output.
   mutable MemoryModule module_;
-  std::unique_ptr<FaultInjector> injector_;
+  FaultInjector injector_;
   std::optional<Scrubber> scrubber_;
   std::vector<Element> stored_data_;      // ground truth dataword
   std::vector<Element> stored_codeword_;  // ground truth codeword

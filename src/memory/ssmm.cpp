@@ -11,9 +11,7 @@ namespace {
 
 std::vector<Element> random_data(sim::Rng& rng, unsigned k, unsigned m) {
   std::vector<Element> data(k);
-  for (auto& d : data) {
-    d = static_cast<Element>(rng.uniform_int(1u << m));
-  }
+  rng.uniform_ints(1u << m, data);
   return data;
 }
 

@@ -39,6 +39,16 @@ void EventQueue::set_tick(double first, TickAction tick) {
   tick_armed_ = true;
 }
 
+void EventQueue::reset() {
+  heap_.clear();
+  now_ = 0.0;
+  next_seq_ = 0;
+  tick_ = nullptr;
+  tick_when_ = 0.0;
+  tick_seq_ = 0;
+  tick_armed_ = false;
+}
+
 void EventQueue::run_tick() {
   now_ = tick_when_;
   tick_armed_ = false;

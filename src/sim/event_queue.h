@@ -43,11 +43,17 @@ class EventQueue {
 
   // Arms the tick: `tick` first runs at `first` (finite, >= now; otherwise
   // std::invalid_argument) and then at every time it returns, until it
-  // returns a non-finite time. A queue has at most one tick for its
-  // lifetime (std::logic_error on a second call). A returned time before
-  // now throws std::invalid_argument and stops the tick; so does any
-  // exception the tick throws.
+  // returns a non-finite time. A queue has at most one tick until reset()
+  // (std::logic_error on a second call). A returned time before now throws
+  // std::invalid_argument and stops the tick; so does any exception the
+  // tick throws.
   void set_tick(double first, TickAction tick);
+
+  // Returns the queue to its constructed state: pending events dropped
+  // without running, no tick (set_tick may arm one again), clock and
+  // insertion order back at 0. Keeps the heap's capacity, so a simulation
+  // that reuses its queue trial after trial stops allocating for it.
+  void reset();
 
   // Runs events in time order until the queue is empty or the next event is
   // later than `until`; the clock ends at exactly `until`.

@@ -1,8 +1,10 @@
 // Tests for the physical memory module and the fault injector.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <limits>
 #include <stdexcept>
+#include <vector>
 
 #include "memory/fault_injector.h"
 #include "memory/memory_module.h"
@@ -33,6 +35,64 @@ TEST(MemoryModule, WriteValidation) {
   EXPECT_THROW(mod.write(std::vector<Element>{1, 2}), std::invalid_argument);
   EXPECT_THROW(mod.write_symbol(0, 0x100), std::invalid_argument);
   EXPECT_THROW(mod.write_symbol(4, 0x10), std::invalid_argument);
+}
+
+TEST(MemoryModule, TooWideWordIsRejectedWhole) {
+  MemoryModule mod{4, 8};
+  mod.write(std::vector<Element>{1, 2, 3, 4});
+  mod.stick_bit(3, 1, /*level=*/true, /*detected=*/true);
+  const std::vector<Element> before = mod.read();
+  const std::uint64_t generation = mod.generation();
+  // A too-wide symbol first, in the middle and last: no symbol before it
+  // is written either.
+  const std::vector<std::vector<Element>> too_wide = {
+      {0x100, 6, 7, 8}, {5, 6, 0x1FF, 8}, {5, 6, 7, 0x8000}};
+  for (const std::vector<Element>& word : too_wide) {
+    EXPECT_THROW(mod.write(word), std::invalid_argument);
+    EXPECT_EQ(mod.read(), before);
+    EXPECT_EQ(mod.generation(), generation);
+  }
+}
+
+TEST(MemoryModule, WriteMovesTheGenerationLikeSymbolWrites) {
+  // write() advances the generation once per symbol it changes, exactly as
+  // a write_symbol per symbol would, stuck bits included.
+  MemoryModule whole{6, 4};
+  MemoryModule by_symbol{6, 4};
+  for (MemoryModule* mod : {&whole, &by_symbol}) {
+    mod->stick_bit(2, 0, /*level=*/true, /*detected=*/false);
+  }
+  const std::vector<std::vector<Element>> words = {
+      {0, 0, 0, 0, 0, 0}, {1, 0, 3, 0, 15, 0}, {1, 0, 2, 0, 15, 9},
+      {1, 0, 2, 0, 15, 9}, {15, 14, 13, 12, 11, 10}};
+  for (const std::vector<Element>& word : words) {
+    whole.write(word);
+    for (unsigned i = 0; i < word.size(); ++i) {
+      by_symbol.write_symbol(i, word[i]);
+    }
+    EXPECT_EQ(whole.generation(), by_symbol.generation());
+    EXPECT_EQ(whole.read(), by_symbol.read());
+  }
+  // The stuck bit, then 0, 3, 2, 0 and 6 changed symbols.
+  EXPECT_EQ(whole.generation(), 1u + 0u + 3u + 2u + 0u + 6u);
+}
+
+TEST(MemoryModule, ResetRestoresTheConstructedState) {
+  MemoryModule mod{4, 8};
+  mod.write(std::vector<Element>{9, 8, 7, 6});
+  mod.flip_bit(0, 7);
+  mod.stick_bit(1, 2, /*level=*/true, /*detected=*/true);
+  mod.stick_bit(2, 3, /*level=*/false, /*detected=*/false);
+  mod.reset();
+  EXPECT_EQ(mod.read(), (std::vector<Element>{0, 0, 0, 0}));
+  EXPECT_EQ(mod.generation(), 0u);
+  EXPECT_TRUE(mod.detected_erasures().empty());
+  EXPECT_EQ(mod.stuck_bit_count(), 0u);
+  // No stuck bit survives: the written word reads back whole.
+  const std::vector<Element> word{0xFF, 0x00, 0xFF, 0x00};
+  mod.write(word);
+  EXPECT_EQ(mod.read(), word);
+  EXPECT_EQ(mod.generation(), 2u);
 }
 
 TEST(MemoryModule, FlipBitTogglesValue) {

@@ -3,7 +3,10 @@
 
 #include <climits>
 #include <cstdint>
+#include <span>
+#include <sstream>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "core/units.h"
@@ -546,6 +549,257 @@ TEST(BatchedRead, SimplexSplitReadMatchesRead) {
 
 TEST(BatchedRead, DuplexSplitReadMatchesRead) {
   expect_split_read_matches_read<DuplexSystem, DuplexSystemConfig>();
+}
+
+// ---- reset(seed): a reused system is a new one ----------------------------
+
+void print_outcome(std::ostream& out, const rs::DecodeOutcome& outcome) {
+  out << ' ' << static_cast<int>(outcome.status) << '/'
+      << outcome.errors_corrected << '/' << outcome.erasures_corrected;
+}
+
+void print_read(std::ostream& out, const ReadResult& read) {
+  out << "read " << read.success << read.data_correct << " data";
+  for (const Element symbol : read.data) out << ' ' << symbol;
+  print_outcome(out, read.outcome);
+}
+
+void print_damage(std::ostream& out, const DamageSummary& damage) {
+  out << " damage " << damage.erased << '/' << damage.corrupted;
+}
+
+// Stats, degradation counters and state, and the clock (in hex, so bit for
+// bit) of either arrangement.
+template <typename System>
+void print_state(std::ostream& out, const System& sys) {
+  const SystemStats& s = sys.stats();
+  out << "\nstats " << s.seu_injected << ' ' << s.permanent_injected << ' '
+      << s.scrubs_attempted << ' ' << s.scrub_failures << ' '
+      << s.scrub_miscorrections << ' ' << s.scrubs_skipped << ' '
+      << s.scrubs_replayed;
+  const DegradationCounters& d = sys.degradation();
+  out << "\ndegradation " << d.retries_attempted << ' ' << d.retry_recoveries
+      << ' ' << d.banks_condemned << ' ' << d.erasure_only_decodes << ' '
+      << d.erasure_only_recoveries << ' ' << d.demotions << ' '
+      << d.words_retired << ' ' << d.reads_in_degraded_mode << ' '
+      << d.unrecovered_failures;
+  out << "\nnow " << std::hexfloat << sys.now_hours() << std::defaultfloat
+      << " retired " << sys.retired() << " suspended "
+      << sys.scrub_suspended();
+}
+
+// Every output of a finished trial. The read comes first, so state a
+// degradation rung changes while reading shows in what follows it.
+std::string trial_outputs(const SimplexSystem& sys) {
+  std::ostringstream out;
+  print_read(out, sys.read());
+  print_damage(out, sys.damage());
+  print_state(out, sys);
+  return out.str();
+}
+
+std::string trial_outputs(const DuplexSystem& sys) {
+  std::ostringstream out;
+  const DuplexReadResult result = sys.read();
+  print_read(out, result.read);
+  const ArbiterResult& arb = result.arbitration;
+  out << "\narbiter " << static_cast<int>(arb.decision) << " output";
+  for (const Element symbol : arb.output) out << ' ' << symbol;
+  print_outcome(out, arb.outcome1);
+  print_outcome(out, arb.outcome2);
+  out << ' ' << arb.flag1 << arb.flag2 << " common";
+  for (const unsigned position : arb.common_erasures) out << ' ' << position;
+  out << " masked " << arb.masked_erasures << " degraded " << result.degraded;
+  print_damage(out, sys.damage(0));
+  print_damage(out, sys.damage(1));
+  const DuplexSystem::PairClassification pairs = sys.classify_pairs();
+  out << "\npairs " << pairs.x << ' ' << pairs.y << ' ' << pairs.b << ' '
+      << pairs.e1 << ' ' << pairs.e2 << ' ' << pairs.ec << " demoted "
+      << sys.demoted() << ' ' << sys.dead_module();
+  print_state(out, sys);
+  return out.str();
+}
+
+// Leaves state a reset must clear: a suspended scrub, scripted damage, a
+// later clock with the events that brings, and the rungs a read runs.
+void dirty(SimplexSystem& sys) {
+  sys.suspend_scrubbing();
+  sys.inject_bit_flip(3, 2);
+  sys.inject_stuck_bit(5, 1, /*level=*/true, /*detected=*/false);
+  sys.advance_to(sys.now_hours() + 7.0);
+  (void)sys.read();
+}
+
+void dirty(DuplexSystem& sys) {
+  sys.suspend_scrubbing();
+  sys.inject_bit_flip(0, 3, 2);
+  sys.inject_stuck_bit(1, 5, 1, /*level=*/true, /*detected=*/false);
+  sys.advance_to(sys.now_hours() + 7.0);
+  (void)sys.read();
+  if (sys.supports_batched_read()) {
+    // A gather left waiting for its finish.
+    std::vector<Element> words(DuplexSystem::kPlaneWords * sys.code().n());
+    std::vector<std::uint8_t> flags(words.size());
+    sys.read_into_plane(words, flags);
+  }
+}
+
+// What a case's trials reached, so each case can show it ran the state it
+// is meant to cover.
+struct ResetCoverage {
+  unsigned failures = 0;
+  unsigned permanent = 0;
+  unsigned scrubs = 0;
+  std::uint64_t retries = 0;
+  std::uint64_t demotions = 0;
+  std::uint64_t retirements = 0;
+};
+
+// Runs `trials` trials (store random data, advance to 48 h, read) on one
+// system that is reset between them, each against a freshly built system
+// with the same seed, and expects every output to match. The reused system
+// runs a trial before its first reset and is dirtied after every trial.
+template <typename System, typename Config>
+ResetCoverage expect_reset_matches_fresh(const Config& base, const char* name,
+                                         unsigned trials = 40) {
+  Config first = base;
+  first.seed = 999;
+  System reused{first};
+  std::vector<Element> data(base.code.k);
+  sim::Rng{999}.uniform_ints(1u << base.code.m, std::span<Element>(data));
+  reused.store(data);
+  reused.advance_to(48.0);
+  dirty(reused);
+  ResetCoverage coverage;
+  for (std::uint64_t seed = 1; seed <= trials; ++seed) {
+    sim::Rng{seed}.uniform_ints(1u << base.code.m, std::span<Element>(data));
+    Config cfg = base;
+    cfg.seed = seed;
+    System fresh{cfg};
+    fresh.store(data);
+    fresh.advance_to(48.0);
+    const std::string want = trial_outputs(fresh);
+    reused.reset(seed);
+    reused.store(data);
+    reused.advance_to(48.0);
+    EXPECT_EQ(trial_outputs(reused), want) << name << ", seed " << seed;
+    // The fresh system after its read, which may have run a rung.
+    coverage.failures += fresh.stats().scrub_failures +
+                         (fresh.degradation().unrecovered_failures > 0);
+    coverage.permanent += fresh.stats().permanent_injected;
+    coverage.scrubs += fresh.stats().scrubs_attempted;
+    coverage.retries += fresh.degradation().retries_attempted;
+    coverage.demotions += fresh.degradation().demotions;
+    coverage.retirements += fresh.degradation().words_retired;
+    dirty(reused);
+  }
+  return coverage;
+}
+
+// Rates that fail a fair share of trials: SEU 0.2 /bit/day, erasures 0.3
+// /symbol/day, Tsc 600 s.
+template <typename Config>
+Config reset_test_config(ScrubPolicy policy) {
+  Config cfg;
+  cfg.rates.seu_rate_per_bit_hour = core::per_day_to_per_hour(0.2);
+  cfg.rates.perm_rate_per_symbol_hour = core::per_day_to_per_hour(0.3);
+  cfg.scrub_policy = policy;
+  cfg.scrub_period_hours =
+      policy == ScrubPolicy::kNone ? 0.0 : core::seconds_to_hours(600.0);
+  return cfg;
+}
+
+template <typename System, typename Config>
+void expect_reset_under_every_scrub_policy() {
+  const ResetCoverage none = expect_reset_matches_fresh<System>(
+      reset_test_config<Config>(ScrubPolicy::kNone), "no scrubbing");
+  EXPECT_EQ(none.scrubs, 0u);
+  EXPECT_GT(none.failures, 0u);
+  for (const ScrubPolicy policy :
+       {ScrubPolicy::kPeriodic, ScrubPolicy::kExponential}) {
+    const ResetCoverage scrubbed = expect_reset_matches_fresh<System>(
+        reset_test_config<Config>(policy),
+        policy == ScrubPolicy::kPeriodic ? "periodic" : "exponential");
+    EXPECT_GT(scrubbed.scrubs, 0u);
+    EXPECT_GT(scrubbed.failures, 0u);
+  }
+  // Hourly passes and no Poisson fault: a new trial's modules reach the
+  // generations an old duplex replay record holds, so a record that
+  // outlived the reset would replay a pass a new system arbitrates.
+  Config quiet;
+  quiet.scrub_policy = ScrubPolicy::kPeriodic;
+  quiet.scrub_period_hours = 1.0;
+  EXPECT_EQ(
+      expect_reset_matches_fresh<System>(quiet, "periodic, no faults").scrubs,
+      40u * 48u);
+}
+
+template <typename System, typename Config>
+void expect_reset_under_every_fault_process() {
+  // Detection 6 h after arrival: detection events are still pending when
+  // a trial ends at 48 h.
+  Config latency = reset_test_config<Config>(ScrubPolicy::kExponential);
+  latency.rates.detection_latency_hours = 6.0;
+  EXPECT_GT(expect_reset_matches_fresh<System>(latency, "detection latency")
+                .permanent,
+            0u);
+  Config wearout = reset_test_config<Config>(ScrubPolicy::kPeriodic);
+  wearout.rates.perm_weibull_shape = 2.0;
+  EXPECT_GT(
+      expect_reset_matches_fresh<System>(wearout, "Weibull wearout").permanent,
+      0u);
+  Config mbu = reset_test_config<Config>(ScrubPolicy::kNone);
+  mbu.rates.mbu_probability = 0.5;
+  mbu.rates.mbu_span_bits = 3;
+  expect_reset_matches_fresh<System>(mbu, "3-bit MBUs");
+}
+
+TEST(SystemReset, SimplexUnderEveryScrubPolicy) {
+  expect_reset_under_every_scrub_policy<SimplexSystem, SimplexSystemConfig>();
+}
+
+TEST(SystemReset, DuplexUnderEveryScrubPolicy) {
+  expect_reset_under_every_scrub_policy<DuplexSystem, DuplexSystemConfig>();
+}
+
+TEST(SystemReset, SimplexUnderEveryFaultProcess) {
+  expect_reset_under_every_fault_process<SimplexSystem,
+                                         SimplexSystemConfig>();
+}
+
+TEST(SystemReset, DuplexUnderEveryFaultProcess) {
+  expect_reset_under_every_fault_process<DuplexSystem, DuplexSystemConfig>();
+}
+
+TEST(SystemReset, SimplexAfterRungsChangedItsState) {
+  // Self-test (rung 1) on undetected stuck bits, the bank fallback, and
+  // retirement after two failures in a row.
+  SimplexSystemConfig cfg =
+      reset_test_config<SimplexSystemConfig>(ScrubPolicy::kPeriodic);
+  cfg.rates.detection_latency_hours = 12.0;
+  cfg.degradation.retry_with_detection = true;
+  cfg.degradation.erasure_only_fallback = true;
+  cfg.degradation.bank_symbols = 3;
+  cfg.degradation.retire_after_failures = 2;
+  const ResetCoverage coverage =
+      expect_reset_matches_fresh<SimplexSystem>(cfg, "simplex rungs");
+  EXPECT_GT(coverage.retries, 0u);
+  EXPECT_GT(coverage.retirements, 0u);
+}
+
+TEST(SystemReset, DuplexAfterRungsChangedItsState) {
+  // Self-test, demotion of a dead module and retirement.
+  DuplexSystemConfig cfg =
+      reset_test_config<DuplexSystemConfig>(ScrubPolicy::kExponential);
+  cfg.rates.detection_latency_hours = 12.0;
+  cfg.degradation.retry_with_detection = true;
+  cfg.degradation.demote_on_dead_module = true;
+  cfg.degradation.retire_after_failures = 2;
+  const ResetCoverage coverage =
+      expect_reset_matches_fresh<DuplexSystem>(cfg, "duplex rungs", 60);
+  EXPECT_GT(coverage.retries, 0u);
+  EXPECT_GT(coverage.demotions, 0u);
+  EXPECT_GT(coverage.retirements, 0u);
 }
 
 }  // namespace

@@ -9,6 +9,7 @@
 #include <limits>
 #include <optional>
 #include <random>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -295,6 +296,193 @@ TEST(Rng, TenThousandthOutputIsTheStandardsRequiredValue) {
   Rng rng{unmix(5489)};
   for (int i = 0; i < 9999; ++i) rng.next_u64();
   EXPECT_EQ(rng.next_u64(), 9981545732273789042ull);
+}
+
+// uniform_int on the oracle: rejection sampling below
+// 2^64 - (2^64 mod bound), then x mod bound. Counts the words it consumed.
+std::uint64_t oracle_uniform_int(std::mt19937_64& ref, std::uint64_t bound,
+                                 std::uint64_t& words) {
+  const std::uint64_t limit =
+      ~std::uint64_t{0} - (~std::uint64_t{0} % bound);
+  for (;;) {
+    const std::uint64_t x = ref();
+    ++words;
+    if (x < limit) return x % bound;
+  }
+}
+
+// Bulk-draw counts around the block-0 runs, the seed-ahead edge and the
+// end of block 0.
+const std::vector<std::size_t> kBulkCounts = {0,   1,   15,  16,  17,  155,
+                                              156, 157, 311, 312, 313, 1000};
+
+// How a stream is set up before the bulk draw: draws taken first (within
+// the first run, mid-block, past block 0) and whether it is a copy.
+struct BulkStart {
+  unsigned draws;
+  bool copied;
+};
+const std::vector<BulkStart> kBulkStarts = {
+    {0, false}, {5, false}, {200, false}, {400, false},
+    {0, true},  {5, true},  {200, true},  {400, true}};
+
+// Checks uniform_ints(bound, out) against uniform_int calls on a twin
+// stream and against the oracle, then checks that all three streams go on
+// alike. Returns the oracle words the draw consumed.
+template <typename T>
+std::uint64_t expect_bulk_matches(std::uint64_t seed, BulkStart start,
+                                  std::uint64_t bound, std::size_t count) {
+  Rng source{seed};
+  Rng single{seed};
+  std::mt19937_64 ref = oracle(seed);
+  for (unsigned d = 0; d < start.draws; ++d) {
+    source.next_u64();
+    single.next_u64();
+  }
+  ref.discard(start.draws);
+  std::optional<Rng> copy;
+  if (start.copied) copy.emplace(source);
+  Rng& bulk = start.copied ? *copy : source;
+  std::vector<T> out(count, T{7});
+  bulk.uniform_ints(bound, std::span<T>(out));
+  std::uint64_t words = 0;
+  for (std::size_t i = 0; i < count; ++i) {
+    const std::uint64_t want = oracle_uniform_int(ref, bound, words);
+    EXPECT_EQ(single.uniform_int(bound), want);
+    if (out[i] != want) {
+      ADD_FAILURE() << "seed " << seed << " start " << start.draws
+                    << (start.copied ? " (copy)" : "") << " bound " << bound
+                    << " count " << count << ": value " << i;
+      return words;
+    }
+  }
+  for (unsigned d = 0; d < 40; ++d) {
+    const std::uint64_t want = ref();
+    EXPECT_EQ(bulk.next_u64(), want) << "after the bulk draw, " << d;
+    EXPECT_EQ(single.next_u64(), want);
+  }
+  return words;
+}
+
+TEST(RngBulk, MatchesUniformIntAndTheOracle) {
+  // Power-of-two and other bounds, each in the 32-bit and 64-bit forms.
+  const std::vector<std::uint64_t> bounds = {1,   2,    3,    7,     255,
+                                             256, 1000, 1024, 65536, 1u << 31};
+  unsigned seed = 0;
+  for (const std::uint64_t bound : bounds) {
+    for (const BulkStart start : kBulkStarts) {
+      for (const std::size_t count : kBulkCounts) {
+        expect_bulk_matches<std::uint32_t>(test_seed(seed++), start, bound,
+                                           count);
+        expect_bulk_matches<std::uint64_t>(test_seed(seed++), start, bound,
+                                           count);
+      }
+    }
+  }
+}
+
+TEST(RngBulk, TheRejectionBranchRuns) {
+  // 2^63 keeps x < 2^63 and 2^63 + 1 keeps x < 2^63 + 1: each rejects about
+  // half of all words, so the bulk loop crosses refills mid-value. Only
+  // the 64-bit form takes these bounds.
+  for (const std::uint64_t bound :
+       {std::uint64_t{1} << 63, (std::uint64_t{1} << 63) + 1}) {
+    std::uint64_t values = 0;
+    std::uint64_t words = 0;
+    unsigned seed = 500;
+    for (const BulkStart start : kBulkStarts) {
+      for (const std::size_t count : kBulkCounts) {
+        words += expect_bulk_matches<std::uint64_t>(test_seed(seed++), start,
+                                                    bound, count);
+        values += count;
+      }
+    }
+    EXPECT_GT(words, values + values / 2) << "bound " << bound;
+    EXPECT_LT(words, values * 3) << "bound " << bound;
+  }
+}
+
+TEST(RngBulk, RejectsAZeroBoundAndValuesThatDoNotFit) {
+  Rng rng{17};
+  std::vector<std::uint32_t> narrow(4);
+  std::vector<std::uint64_t> wide(4);
+  EXPECT_THROW(rng.uniform_ints(0, std::span<std::uint32_t>(narrow)),
+               std::invalid_argument);
+  EXPECT_THROW(rng.uniform_ints(0, std::span<std::uint64_t>(wide)),
+               std::invalid_argument);
+  EXPECT_THROW(rng.uniform_ints(0, std::span<std::uint64_t>()),
+               std::invalid_argument);
+  EXPECT_THROW(rng.uniform_ints((std::uint64_t{1} << 32) + 1,
+                                std::span<std::uint32_t>(narrow)),
+               std::invalid_argument);
+  // The rejected calls drew nothing; 2^32 still fits the 32-bit form.
+  Rng twin{17};
+  rng.uniform_ints(std::uint64_t{1} << 32, std::span<std::uint32_t>(narrow));
+  for (const std::uint32_t value : narrow) {
+    EXPECT_EQ(value, twin.uniform_int(std::uint64_t{1} << 32));
+  }
+}
+
+TEST(RngLockstep, SeededGroupsDrawLikeLazilySeededStreams) {
+  // Groups of 1-9 streams, so lanes of four leave every remainder. Some
+  // members drew before (within the first run, past block 0), some are
+  // copies of fresh or drawn streams, and one appears twice.
+  for (unsigned size = 1; size <= 9; ++size) {
+    std::vector<Rng> streams;
+    std::vector<Rng> lazy;
+    std::vector<std::mt19937_64> refs;
+    std::vector<std::uint64_t> seeds;
+    for (unsigned i = 0; i < size; ++i) {
+      const std::uint64_t seed = test_seed(100 * size + i);
+      Rng stream{seed};
+      std::mt19937_64 ref = oracle(seed);
+      const unsigned draws = i % 3 == 1 ? 3 : (i % 5 == 4 ? 400 : 0);
+      for (unsigned d = 0; d < draws; ++d) stream.next_u64();
+      ref.discard(draws);
+      lazy.push_back(stream);
+      streams.push_back(i % 4 == 2 ? Rng{stream} : stream);
+      refs.push_back(ref);
+    }
+    std::vector<Rng*> group;
+    for (Rng& stream : streams) group.push_back(&stream);
+    if (size > 2) group.push_back(&streams[1]);
+    Rng::seed_lockstep(group);
+    for (unsigned i = 0; i < size; ++i) {
+      for (unsigned d = 0; d < 1000; ++d) {
+        const std::uint64_t want = refs[i]();
+        ASSERT_EQ(streams[i].next_u64(), want)
+            << "group " << size << " stream " << i << " draw " << d;
+        ASSERT_EQ(lazy[i].next_u64(), want);
+      }
+    }
+  }
+}
+
+TEST(RngLockstep, SeededStreamsCopyAndBulkDrawLikeTheOracle) {
+  const std::uint64_t seeds[] = {test_seed(1), test_seed(2), test_seed(3)};
+  Rng a{seeds[0]};
+  Rng b{seeds[1]};
+  Rng c{seeds[2]};
+  Rng* group[] = {&a, &b, &c};
+  Rng::seed_lockstep(group);
+  // A copy of a seeded stream moves its whole seeded block.
+  Rng copy = b;
+  std::mt19937_64 ref_a = oracle(seeds[0]);
+  std::mt19937_64 ref_b = oracle(seeds[1]);
+  std::mt19937_64 ref_c = oracle(seeds[2]);
+  std::vector<std::uint32_t> bulk(223);
+  a.uniform_ints(256, std::span<std::uint32_t>(bulk));
+  std::uint64_t words = 0;
+  for (const std::uint32_t value : bulk) {
+    ASSERT_EQ(value, oracle_uniform_int(ref_a, 256, words));
+  }
+  for (unsigned d = 0; d < 700; ++d) {
+    const std::uint64_t want = ref_b();
+    ASSERT_EQ(b.next_u64(), want) << d;
+    ASSERT_EQ(copy.next_u64(), want) << d;
+    ASSERT_EQ(c.next_u64(), ref_c()) << d;
+    ASSERT_EQ(a.next_u64(), ref_a()) << d;
+  }
 }
 
 TEST(EventQueue, RunsInTimeOrder) {
@@ -599,6 +787,40 @@ TEST(EventQueueTick, RejectsPastOrNonFiniteFirstTimes) {
   q.set_tick(5.0, tick);  // the rejected calls left no tick behind
   EXPECT_EQ(q.pending(), 1u);
   EXPECT_THROW(q.set_tick(7.0, tick), std::logic_error);  // one per queue
+}
+
+TEST(EventQueueTick, ResetEmptiesTheQueueAndAllowsANewTick) {
+  EventQueue q;
+  std::vector<int> order;
+  q.schedule_at(2.0, [&] { order.push_back(-1); });
+  q.schedule_at(9.0, [&] { order.push_back(-2); });
+  q.set_tick(1.0, [&] {
+    order.push_back(0);
+    return q.now() + 1.5;
+  });
+  q.run_until(3.0);
+  EXPECT_EQ(order, (std::vector<int>{0, -1, 0}));
+  // Without a reset the queue keeps its one tick.
+  EXPECT_THROW(q.set_tick(4.0, [] { return 5.0; }), std::logic_error);
+
+  q.reset();
+  EXPECT_DOUBLE_EQ(q.now(), 0.0);
+  EXPECT_EQ(q.pending(), 0u);
+  EXPECT_TRUE(q.empty());
+  EXPECT_FALSE(q.step());  // the events at 9.0 and the tick are gone
+  order.clear();
+  q.schedule_at(1.0, [&] { order.push_back(1); });
+  q.set_tick(1.0, [&] {
+    order.push_back(2);
+    return std::numeric_limits<double>::infinity();
+  });
+  q.schedule_at(1.0, [&] { order.push_back(3); });
+  EXPECT_EQ(q.pending(), 3u);
+  q.run_until(20.0);
+  // Ties still break by insertion order, counted afresh.
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
+  EXPECT_TRUE(q.empty());
+  EXPECT_THROW(q.set_tick(21.0, [] { return 22.0; }), std::logic_error);
 }
 
 TEST(EventQueueTick, ReturningAPastTimeThrowsAndStopsTheTick) {

@@ -4,7 +4,8 @@
 // workspace-free decode, which runs on the codec's per-thread workspace.
 // The same holds one layer up for duplex scrubbing, which arbitrates on
 // the system's own scratch planes, and for the uniformization solver on a
-// warmed-up SolverWorkspace.
+// warmed-up SolverWorkspace. Monte-Carlo campaigns reuse their systems, so
+// a steady-state trial allocates only the result its read returns.
 //
 // Implemented with counting global operator new/delete overrides, which is
 // why this lives in its own test binary: the overrides are process-wide and
@@ -16,6 +17,7 @@
 #include <new>
 #include <vector>
 
+#include "analysis/monte_carlo.h"
 #include "markov/solver_workspace.h"
 #include "markov/uniformization.h"
 #include "memory/duplex_system.h"
@@ -238,6 +240,65 @@ TEST(ZeroAllocSolver, SteadyStateUniformizationDoesNotAllocate) {
   });
   EXPECT_EQ(allocs, 0u) << "steady-state solve_into must not hit the heap";
   EXPECT_LT(ws.terms_summed(), ws.terms_offered());
+}
+
+// Allocations per steady-state trial of a one-chunk, one-thread campaign:
+// (allocations for 2N trials - allocations for N trials) / N, which cancels
+// what a campaign and its chunk allocate once (codec handle, planes, the
+// chunk's systems). A warm-up campaign first grows the thread's codec
+// workspaces, which persist across campaigns.
+template <typename System, typename Config, typename Run>
+double allocations_per_trial(const Config& system, std::size_t batch,
+                             Run run) {
+  constexpr std::size_t kTrials = 128;
+  analysis::MonteCarloConfig mc;
+  mc.t_end_hours = 48.0;
+  mc.threads = 1;
+  mc.chunk_trials = 2 * kTrials;
+  mc.batch_trials = batch;
+  mc.trials = kTrials;
+  mc.seed = 7;
+  run(system, mc);
+  std::uint64_t counts[2];
+  for (std::size_t i = 0; i < 2; ++i) {
+    mc.trials = (i + 1) * kTrials;
+    analysis::MonteCarloResult result;
+    counts[i] = allocations_in([&] { result = run(system, mc); });
+    // Every read succeeds, so every trial returns the same result shape.
+    EXPECT_EQ(result.failure.failures, 0u);
+    EXPECT_GT(result.mean_seu_per_trial, 1.0);
+  }
+  return static_cast<double>(counts[1] - counts[0]) / kTrials;
+}
+
+TEST(ZeroAllocCampaign, SteadyStateTrialsAllocateOnlyTheirReadResult) {
+  // SEUs that a strong code always corrects: every read decodes errors,
+  // none fails, and no permanent fault leaves common erasures to copy.
+  memory::SimplexSystemConfig simplex;
+  simplex.code = rs::CodeParams{255, 223, 8, 1, 0};
+  simplex.rates.seu_rate_per_bit_hour = 1e-3 / 24.0;
+  memory::DuplexSystemConfig duplex;
+  duplex.code = rs::CodeParams{36, 16, 8, 1, 0};
+  duplex.rates.seu_rate_per_bit_hour = 1e-2 / 24.0;
+  const auto run_simplex = [](const auto& system, const auto& mc) {
+    return analysis::run_simplex_trials(system, mc);
+  };
+  const auto run_duplex = [](const auto& system, const auto& mc) {
+    return analysis::run_duplex_trials(system, mc);
+  };
+  // Batched planes (width 64) and the per-trial read() path (width 1). A
+  // simplex read returns its decoded data; a duplex read also copies the
+  // arbiter's selected codeword.
+  for (const std::size_t batch : {std::size_t{0}, std::size_t{1}}) {
+    EXPECT_EQ((allocations_per_trial<memory::SimplexSystem>(simplex, batch,
+                                                            run_simplex)),
+              1.0)
+        << "simplex, batch " << batch;
+    EXPECT_EQ((allocations_per_trial<memory::DuplexSystem>(duplex, batch,
+                                                           run_duplex)),
+              2.0)
+        << "duplex, batch " << batch;
+  }
 }
 
 }  // namespace
